@@ -9,6 +9,9 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> GOARCH=s390x go vet ./internal/... (big-endian target: partitions hold host-order bytes)"
+GOARCH=s390x go vet ./internal/...
+
 echo "==> shmemvet (PGAS static analysis; exit code gates, JSON artifact kept)"
 # The run is budgeted: the interprocedural pass over the whole module must
 # stay interactive (the baseline is ~2s; 60s leaves headroom for cold

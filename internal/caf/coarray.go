@@ -1,6 +1,7 @@
 package caf
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"cafshmem/internal/pgas"
@@ -195,11 +196,7 @@ func (c *Coarray[T]) SetSlice(vals []T) {
 	if len(vals) != c.n {
 		panic(fmt.Sprintf("caf: SetSlice of %d values into %d-element coarray", len(vals), c.n))
 	}
-	bp := pgas.GetScratch()
-	data := pgas.EncodeSlice[T]((*bp)[:0], vals)
-	c.img.tr.(localMem).pgasPE().StoreLocal(c.off, data)
-	*bp = data
-	pgas.PutScratch(bp)
+	c.img.tr.(localMem).pgasPE().StoreLocal(c.off, pgas.Bytes(vals))
 }
 
 // Slice returns a copy of the whole local array (column-major order).
@@ -216,11 +213,7 @@ func (c *Coarray[T]) SliceInto(dst []T) {
 	if len(dst) != c.n {
 		panic(fmt.Sprintf("caf: SliceInto of %d-element coarray into %d-element slice", c.n, len(dst)))
 	}
-	bp := pgas.GetScratch()
-	raw := pgas.ScratchLen(bp, c.n*c.es)
-	c.img.tr.(localMem).pgasPE().ReadLocal(c.off, raw)
-	pgas.DecodeSlice(dst, raw)
-	pgas.PutScratch(bp)
+	c.img.tr.(localMem).pgasPE().ReadLocal(c.off, pgas.Bytes(dst))
 }
 
 // Fill sets every local element to v.
@@ -243,9 +236,7 @@ func (c *Coarray[T]) WaitLocal(pred func(T) bool, idx ...int) {
 	}
 	var buf [8]byte
 	c.img.tr.WaitLocal64(c.byteOff(idx), func(v int64) bool {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(uint64(v) >> (8 * i))
-		}
+		binary.NativeEndian.PutUint64(buf[:], uint64(v))
 		return pred(pgas.DecodeOne[T](buf[:]))
 	})
 }

@@ -3,9 +3,10 @@
 // backends (OpenSHMEM, GASNet, MPI-3 RMA). The battery pins the portable
 // contract — blocking, vectored and strided RMA, the nonblocking surface and
 // its Quiet/Fence completion semantics, put-with-signal, remote atomics,
-// locks, collectives, pairwise synchronisation, and the STAT-bearing fault
-// paths — so a new transport is done when it passes here, not when it happens
-// to survive the application benchmarks.
+// locks, collectives, pairwise synchronisation, the STAT-bearing fault
+// paths, and the reuse of a blocking transfer's buffers — so a new
+// transport is done when it passes here, not when it happens to survive the
+// application benchmarks.
 //
 // Capabilities a backend lacks are part of the contract too: the suite
 // asserts the documented degradation (PutAsync falling back to blocking puts
@@ -86,6 +87,15 @@ func RunBattery(t *testing.T, c Case) {
 	t.Run("collectives", func(t *testing.T) { batteryCollectives(t, c.Opts()) })
 	t.Run("sync-images", func(t *testing.T) { batterySyncImages(t, c.Opts()) })
 	t.Run("fault-stat", func(t *testing.T) { batteryFaultStat(t, c) })
+	t.Run("source-reuse", func(t *testing.T) { batterySourceReuse(t, c.Opts(), false) })
+	if c.Caps.FaultStat {
+		t.Run("source-reuse-lossy", func(t *testing.T) {
+			o := c.Opts()
+			o.FaultPlan = &fabric.FaultPlan{Seed: 11, Losses: []fabric.LinkLoss{
+				{Src: -1, Dst: -1, DropProb: 0.2, DelayMaxNs: 2500, DupProb: 0.08}}}
+			batterySourceReuse(t, o, true)
+		})
+	}
 }
 
 func run(t *testing.T, images int, o caf.Options, body func(img *caf.Image)) {
@@ -497,5 +507,88 @@ func batteryFaultStat(t *testing.T, c Case) {
 				t.Errorf("image %d round %d: StatOK after a failure was observed (condition must be sticky)", pe+1, r)
 			}
 		}
+	}
+}
+
+// batterySourceReuse pins the buffer contract the zero-copy data path rests
+// on, for a contiguous section and for strided sections under the naive and
+// 2dim algorithms (each hands the transport a view of the caller's buffer):
+// a blocking Put is done with vals when it returns, so overwriting them at
+// once leaves the target holding the original values; a Get result is the
+// caller's own memory, aliasing neither the remote partition nor a later
+// remote write; and SetSlice likewise copies out of its argument. lossy
+// requires the writes to have crossed the retransmitting fabric.
+func batterySourceReuse(t *testing.T, o caf.Options, lossy bool) {
+	const rows, cols = 8, 6
+	strided := caf.Section{{Lo: 1, Hi: rows - 1, Step: 2}, {Lo: 0, Hi: cols - 1, Step: 1}}
+	shapes := []struct {
+		name string
+		algo caf.StridedAlgo
+		sec  caf.Section
+	}{
+		{"contiguous", o.Strided, caf.All(rows, cols)},
+		{"naive", caf.StridedNaive, strided},
+		{"2dim", caf.Strided2Dim, strided},
+	}
+	gen := func(g, n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = float64(g*1000+i) + 0.5
+		}
+		return v
+	}
+	expect := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: elem %d = %v, want %v", what, i, got[i], want[i])
+				return
+			}
+		}
+	}
+	fill := func(v []float64, x float64) {
+		for i := range v {
+			v[i] = x
+		}
+	}
+	for _, sh := range shapes {
+		o := o
+		o.Strided = sh.algo
+		run(t, 2, o, func(img *caf.Image) {
+			c := caf.Allocate[float64](img, rows, cols)
+			n := sh.sec.NumElems()
+			if img.ThisImage() == 1 {
+				vals := gen(1, n)
+				c.Put(2, sh.sec, vals)
+				fill(vals, -1) // reuse the source as soon as Put returns
+			}
+			img.SyncAll()
+			if img.ThisImage() == 1 {
+				got := c.Get(2, sh.sec)
+				expect(sh.name+": target after source reuse", got, gen(1, n))
+				fill(got, -2)
+				expect(sh.name+": remote after overwriting a Get result", c.Get(2, sh.sec), gen(1, n))
+				c.Put(2, sh.sec, gen(2, n))
+				mine := make([]float64, n)
+				fill(mine, -2)
+				expect(sh.name+": Get result after a later remote write", got, mine)
+				expect(sh.name+": later remote write", c.Get(2, sh.sec), gen(2, n))
+				if lossy {
+					var msgs uint64
+					for _, r := range img.LinkReports() {
+						msgs += r.Msgs
+					}
+					if msgs == 0 {
+						t.Errorf("%s: no reliable messages: the lossy plan did not carry the writes", sh.name)
+					}
+				}
+			}
+			img.SyncAll()
+			local := gen(3, c.Len())
+			c.SetSlice(local)
+			fill(local, -3)
+			expect(sh.name+": local array after SetSlice source reuse", c.Slice(), gen(3, c.Len()))
+			img.SyncAll()
+		})
 	}
 }

@@ -59,7 +59,7 @@ func (d *DynCoarray[T]) AllocLocal(n int) {
 	// Publish the descriptor in this image's symmetric slot. Plain local
 	// stores: remote readers synchronise via sync constructs as usual.
 	p := d.img.tr.(localMem).pgasPE()
-	p.StoreLocal(d.desc.off, pgas.EncodeSlice[uint64](nil, []uint64{uint64(ref), uint64(n)}))
+	p.StoreLocal(d.desc.off, pgas.Bytes([]uint64{uint64(ref), uint64(n)}))
 }
 
 // FreeLocal deallocates this image's component.
@@ -69,7 +69,7 @@ func (d *DynCoarray[T]) FreeLocal() {
 	}
 	d.img.FreeNonSymmetric(d.localOff, int64(d.localLen)*int64(d.es))
 	p := d.img.tr.(localMem).pgasPE()
-	p.StoreLocal(d.desc.off, pgas.EncodeSlice[uint64](nil, []uint64{0, 0}))
+	p.StoreLocal(d.desc.off, pgas.Bytes([]uint64{0, 0}))
 	d.localOff, d.localLen = 0, 0
 }
 
@@ -83,7 +83,7 @@ func (d *DynCoarray[T]) LocalLen() int { return d.localLen }
 func (d *DynCoarray[T]) SetLocal(lo int, vals []T) {
 	d.checkLocal(lo, len(vals))
 	p := d.img.tr.(localMem).pgasPE()
-	p.StoreLocal(d.localOff+int64(lo)*int64(d.es), pgas.EncodeSlice[T](nil, vals))
+	p.StoreLocal(d.localOff+int64(lo)*int64(d.es), pgas.Bytes(vals))
 }
 
 // LocalSlice returns a copy of this image's component.
@@ -93,7 +93,7 @@ func (d *DynCoarray[T]) LocalSlice() []T {
 	}
 	p := d.img.tr.(localMem).pgasPE()
 	out := make([]T, d.localLen)
-	pgas.DecodeSlice(out, p.LocalBytes(d.localOff, int64(d.localLen)*int64(d.es)))
+	p.ReadLocal(d.localOff, pgas.Bytes(out))
 	return out
 }
 
@@ -110,11 +110,9 @@ func (d *DynCoarray[T]) checkLocal(lo, n int) {
 func (d *DynCoarray[T]) remoteDescriptor(j int) (RemoteRef, int) {
 	d.img.checkImage(j)
 	d.img.maybeQuiet()
-	raw := make([]byte, 16)
-	d.img.tr.GetMem(j-1, d.desc.off, raw)
-	d.img.Stats.Gets++
 	var words [2]uint64
-	pgas.DecodeSlice(words[:], raw)
+	d.img.tr.GetMem(j-1, d.desc.off, pgas.Bytes(words[:]))
+	d.img.Stats.Gets++
 	return RemoteRef(words[0]), int(words[1])
 }
 
@@ -135,11 +133,9 @@ func (d *DynCoarray[T]) Get(j int, lo, n int) []T {
 	if lo < 0 || lo+n > rlen {
 		panic(fmt.Sprintf("caf: remote component access [%d:%d) outside %d elements", lo, lo+n, rlen))
 	}
-	raw := make([]byte, int64(n)*int64(d.es))
-	d.img.tr.GetMem(ref.Image()-1, ref.Offset()+int64(lo)*int64(d.es), raw)
-	d.img.Stats.Gets++
 	out := make([]T, n)
-	pgas.DecodeSlice(out, raw)
+	d.img.tr.GetMem(ref.Image()-1, ref.Offset()+int64(lo)*int64(d.es), pgas.Bytes(out))
+	d.img.Stats.Gets++
 	return out
 }
 
@@ -153,7 +149,7 @@ func (d *DynCoarray[T]) Put(j int, lo int, vals []T) {
 	if lo < 0 || lo+len(vals) > rlen {
 		panic(fmt.Sprintf("caf: remote component access [%d:%d) outside %d elements", lo, lo+len(vals), rlen))
 	}
-	d.img.tr.PutMem(ref.Image()-1, ref.Offset()+int64(lo)*int64(d.es), pgas.EncodeSlice[T](nil, vals))
+	d.img.tr.PutMem(ref.Image()-1, ref.Offset()+int64(lo)*int64(d.es), pgas.Bytes(vals))
 	d.img.Stats.Puts++
 	d.img.maybeQuiet()
 }

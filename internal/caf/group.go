@@ -127,7 +127,7 @@ func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx i
 		mask := 1 << k
 		if rel&mask != 0 {
 			parentIdx := rel - mask
-			img.tr.PutMem(g.member(parentIdx)-1, scratch+int64(k)*nbytes, pgas.EncodeSlice[T](nil, out))
+			img.tr.PutMem(g.member(parentIdx)-1, scratch+int64(k)*nbytes, pgas.Bytes(out))
 			img.Stats.Puts++
 			img.tr.Quiet()
 			img.Stats.Quiets++
@@ -138,7 +138,7 @@ func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx i
 			continue
 		}
 		g.awaitFlag(k, seq)
-		pgas.DecodeSlice(child, p.LocalBytes(scratch+int64(k)*nbytes, nbytes))
+		p.ReadLocal(scratch+int64(k)*nbytes, pgas.Bytes(child))
 		for i := range out {
 			out[i] = op(out[i], child[i])
 		}
@@ -149,7 +149,7 @@ func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx i
 		// Binomial distribution from the root through the same tree.
 		if rel != 0 {
 			g.awaitFlag(collMaxRounds+highBitCAF(rel), seq)
-			pgas.DecodeSlice(out, p.LocalBytes(scratch+bslot*nbytes, nbytes))
+			p.ReadLocal(scratch+bslot*nbytes, pgas.Bytes(out))
 		}
 		start := 0
 		if rel != 0 {
@@ -160,7 +160,7 @@ func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx i
 			if childRel >= n {
 				break
 			}
-			img.tr.PutMem(g.member(childRel)-1, scratch+bslot*nbytes, pgas.EncodeSlice[T](nil, out))
+			img.tr.PutMem(g.member(childRel)-1, scratch+bslot*nbytes, pgas.Bytes(out))
 			img.Stats.Puts++
 			img.tr.Quiet()
 			img.Stats.Quiets++
@@ -170,7 +170,7 @@ func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx i
 	}
 
 	if rel == 0 && resultIdx != 0 {
-		img.tr.PutMem(g.member(resultIdx)-1, scratch+bslot*nbytes, pgas.EncodeSlice[T](nil, out))
+		img.tr.PutMem(g.member(resultIdx)-1, scratch+bslot*nbytes, pgas.Bytes(out))
 		img.Stats.Puts++
 		img.tr.Quiet()
 		img.Stats.Quiets++
@@ -178,7 +178,7 @@ func groupReduce[T pgas.Elem](g *group, vals []T, op func(a, b T) T, resultIdx i
 	}
 	if rel == resultIdx && resultIdx != 0 {
 		g.awaitFlag(collMaxRounds, seq)
-		pgas.DecodeSlice(out, p.LocalBytes(scratch+bslot*nbytes, nbytes))
+		p.ReadLocal(scratch+bslot*nbytes, pgas.Bytes(out))
 	}
 	return out
 }
@@ -202,7 +202,7 @@ func groupBroadcast[T pgas.Elem](g *group, vals []T, sourceIdx int) []T {
 
 	if rel != 0 {
 		g.awaitFlag(collMaxRounds+highBitCAF(rel), seq)
-		pgas.DecodeSlice(out, p.LocalBytes(scratch+bslot*nbytes, nbytes))
+		p.ReadLocal(scratch+bslot*nbytes, pgas.Bytes(out))
 	}
 	start := 0
 	if rel != 0 {
@@ -214,7 +214,7 @@ func groupBroadcast[T pgas.Elem](g *group, vals []T, sourceIdx int) []T {
 			break
 		}
 		childIdx := (childRel + sourceIdx) % n
-		img.tr.PutMem(g.member(childIdx)-1, scratch+bslot*nbytes, pgas.EncodeSlice[T](nil, out))
+		img.tr.PutMem(g.member(childIdx)-1, scratch+bslot*nbytes, pgas.Bytes(out))
 		img.Stats.Puts++
 		img.tr.Quiet()
 		img.Stats.Quiets++

@@ -149,24 +149,23 @@ func (c *Coarray[T]) putSection(target int, sec Section, vals []T) {
 	tr := c.img.tr
 	es := int64(c.es)
 
+	// Every case hands the transport a byte view of the caller's values: a
+	// blocking transport is done with its source when it returns, so the
+	// steady state neither encodes nor allocates.
+	//
 	// Fast path shared by all algorithms: a fully contiguous section is a
 	// single putmem regardless of strategy — or a direct store when the
-	// target shares the node and §VII's IntraNodeDirect is enabled. The
-	// encode buffer is pooled: transports copy payload bytes synchronously,
-	// so the steady state allocates nothing.
+	// target shares the node and §VII's IntraNodeDirect is enabled.
 	runDims, runElems := c.contigRun(sec)
 	if runDims == len(sec) {
 		off := c.secLowOff(sec)
-		bp := pgas.GetScratch()
-		data := pgas.EncodeSlice[T]((*bp)[:0], vals)
+		data := pgas.Bytes(vals)
 		if c.img.opts.IntraNodeDirect && tr.DirectWrite(target, off, data) {
 			c.img.Stats.DirectOps++
 		} else {
 			tr.PutMem(target, off, data)
 			c.img.Stats.Puts++
 		}
-		*bp = data
-		pgas.PutScratch(bp)
 		return
 	}
 
@@ -175,32 +174,24 @@ func (c *Coarray[T]) putSection(target int, sec Section, vals []T) {
 		// §IV-C baseline: one putmem per maximal contiguous run — issued as
 		// a single vectored call so the whole section costs one target-lock
 		// acquisition instead of one per run. eachRun enumerates runs in
-		// dense value order, so the encoded vals are already the run payloads
-		// back to back.
-		bp := pgas.GetScratch()
-		data := pgas.EncodeSlice[T]((*bp)[:0], vals)
+		// dense value order, so vals are already the run payloads back to
+		// back.
 		op := pgas.GetOffsScratch()
 		offs := (*op)[:0]
 		c.eachRun(sec, runDims, runElems, func(byteOff int64, valOff int) {
 			offs = append(offs, byteOff)
 		})
-		tr.PutMemV(target, offs, runElems*int(es), data)
+		tr.PutMemV(target, offs, runElems*int(es), pgas.Bytes(vals))
 		c.img.Stats.Puts += int64(len(offs))
 		*op = offs
 		pgas.PutOffsScratch(op)
-		*bp = data
-		pgas.PutScratch(bp)
 	default: // 1dim, 2dim, vendor: 1-D strided library calls along base dim
 		base := c.baseDim(sec)
 		strideBytes := int64(sec[base].Step) * c.strides[base] * es
-		bp := pgas.GetScratch()
 		c.eachPencil(sec, base, func(byteOff int64, gather []T) {
-			data := pgas.EncodeSlice[T]((*bp)[:0], gather)
-			*bp = data
-			tr.PutStrided1D(target, byteOff, strideBytes, c.es, data)
+			tr.PutStrided1D(target, byteOff, strideBytes, c.es, pgas.Bytes(gather))
 			c.img.Stats.StridedCalls++
 		}, vals, nil)
-		pgas.PutScratch(bp)
 	}
 }
 
@@ -211,17 +202,13 @@ func (c *Coarray[T]) getSection(target int, sec Section, out []T) {
 	runDims, runElems := c.contigRun(sec)
 	if runDims == len(sec) {
 		off := c.secLowOff(sec)
-		bp := pgas.GetScratch()
-		raw := pgas.ScratchLen(bp, len(out)*int(es))
+		raw := pgas.Bytes(out)
 		if c.img.opts.IntraNodeDirect && tr.DirectRead(target, off, raw) {
-			pgas.DecodeSlice(out, raw)
 			c.img.Stats.DirectOps++
 		} else {
 			tr.GetMem(target, off, raw)
-			pgas.DecodeSlice(out, raw)
 			c.img.Stats.Gets++
 		}
-		pgas.PutScratch(bp)
 		return
 	}
 
@@ -234,25 +221,17 @@ func (c *Coarray[T]) getSection(target int, sec Section, out []T) {
 		c.eachRun(sec, runDims, runElems, func(byteOff int64, valOff int) {
 			offs = append(offs, byteOff)
 		})
-		bp := pgas.GetScratch()
-		raw := pgas.ScratchLen(bp, len(offs)*runElems*int(es))
-		tr.GetMemV(target, offs, runElems*int(es), raw)
-		pgas.DecodeSlice(out, raw)
+		tr.GetMemV(target, offs, runElems*int(es), pgas.Bytes(out))
 		c.img.Stats.Gets += int64(len(offs))
 		*op = offs
 		pgas.PutOffsScratch(op)
-		pgas.PutScratch(bp)
 	default:
 		base := c.baseDim(sec)
 		strideBytes := int64(sec[base].Step) * c.strides[base] * es
-		bp := pgas.GetScratch()
 		c.eachPencil(sec, base, func(byteOff int64, scatter []T) {
-			raw := pgas.ScratchLen(bp, len(scatter)*int(es))
-			tr.GetStrided1D(target, byteOff, strideBytes, c.es, raw)
-			pgas.DecodeSlice(scatter, raw)
+			tr.GetStrided1D(target, byteOff, strideBytes, c.es, pgas.Bytes(scatter))
 			c.img.Stats.StridedCalls++
 		}, nil, out)
-		pgas.PutScratch(bp)
 	}
 }
 

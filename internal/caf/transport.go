@@ -212,7 +212,7 @@ func (t *shmemTransport) DirectRead(target int, off int64, dst []byte) bool {
 
 func (t *shmemTransport) WaitLocal64(off int64, pred func(int64) bool) {
 	ts := t.pe.Pgas().WaitUntil(off, 8, func(b []byte) bool {
-		return pred(int64(leUint64(b)))
+		return pred(int64(nativeUint64(b)))
 	})
 	t.pe.Clock().MergeAtLeast(ts)
 	t.pe.Clock().Advance(t.pe.World().Profile().OverheadNs)
@@ -359,7 +359,7 @@ func (t *shmemTransport) ReadWord64(target int, off int64) uint64 {
 
 func (t *shmemTransport) WaitLocal64Stat(off int64, pred func(int64) bool, onEvent func() error) error {
 	ts, err := t.pe.Pgas().WaitUntilStat(off, 8, func(b []byte) bool {
-		return pred(int64(leUint64(b)))
+		return pred(int64(nativeUint64(b)))
 	}, onEvent)
 	if err != nil {
 		return err
@@ -571,7 +571,7 @@ func (t *gasnetTransport) DirectRead(int, int64, []byte) bool  { return false }
 
 func (t *gasnetTransport) WaitLocal64(off int64, pred func(int64) bool) {
 	ts := t.ep.Pgas().WaitUntil(off, 8, func(b []byte) bool {
-		return pred(int64(leUint64(b)))
+		return pred(int64(nativeUint64(b)))
 	})
 	t.ep.Clock().MergeAtLeast(ts)
 	t.ep.Clock().Advance(t.ep.World().Profile().OverheadNs)
@@ -586,6 +586,6 @@ func (t *gasnetTransport) StridedMode() fabric.StridedMode {
 	return t.ep.World().Profile().Strided
 }
 
-func leUint64(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
+func nativeUint64(b []byte) uint64 { return binary.NativeEndian.Uint64(b) }
 
 var errBadTransport = fmt.Errorf("caf: unknown transport kind")

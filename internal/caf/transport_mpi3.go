@@ -129,7 +129,7 @@ func (t *mpi3Transport) DirectRead(int, int64, []byte) bool  { return false }
 
 func (t *mpi3Transport) WaitLocal64(off int64, pred func(int64) bool) {
 	ts := t.pr.Pgas().WaitUntil(off, 8, func(b []byte) bool {
-		return pred(int64(leUint64(b)))
+		return pred(int64(nativeUint64(b)))
 	})
 	t.pr.Clock().MergeAtLeast(ts)
 	t.pr.Clock().Advance(t.pr.World().Profile().OverheadNs)

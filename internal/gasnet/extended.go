@@ -189,7 +189,7 @@ func (ep *EP) PutSignal(target int, seg Seg, off int64, data []byte, sigSeg Seg,
 	ep.p.Clock.Advance(prof.PutInjectNs(len(data)+8, intra, pairs))
 	vis := ep.p.Clock.Now() + prof.DeliveryNs(intra, pairs) + prof.AMHandlerNs
 	var sigBytes [8]byte
-	binary.LittleEndian.PutUint64(sigBytes[:], uint64(sigVal))
+	binary.NativeEndian.PutUint64(sigBytes[:], uint64(sigVal))
 	if len(data) > 0 {
 		ep.world.pw.Write(target, seg.Off+off, data, vis)
 	}
@@ -214,7 +214,7 @@ func (ep *EP) PutSignalNBI(target int, seg Seg, off int64, data []byte, sigSeg S
 	done := ep.nbi.Issue(target, ep.p.Clock.Now(), transfer,
 		prof.DeliveryNs(intra, pairs)+prof.AMHandlerNs)
 	var sigBytes [8]byte
-	binary.LittleEndian.PutUint64(sigBytes[:], uint64(sigVal))
+	binary.NativeEndian.PutUint64(sigBytes[:], uint64(sigVal))
 	if len(data) > 0 {
 		ep.world.pw.Write(target, seg.Off+off, data, done)
 	}

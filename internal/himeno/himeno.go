@@ -236,11 +236,14 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 			pts := float64((nx - 2) * planes * (nz - 2))
 			img.Clock().Advance(opts.Machine.ComputeNs(flopsPerPt * pts))
 		}
-		// tmp backs the ghost-only refresh in the overlap modes (allocated
-		// once; the per-iteration refresh must not allocate).
-		var tmp []float32
+		// tmp backs the ghost-only refresh in the overlap modes and halo
+		// the blocking schedule's plane exchange (each allocated once; the
+		// per-iteration exchange must not allocate).
+		var tmp, halo []float32
 		if barrierOverlap || signalOverlap {
 			tmp = make([]float32, len(cur))
+		} else {
+			halo = make([]float32, nx*nz)
 		}
 		for it := 0; ok && it < prm.Iters; it++ {
 			copy(next, cur)
@@ -262,17 +265,14 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 				}
 
 				// Halo exchange: matrix-oriented planes (contiguous in i,
-				// strided across k).
+				// strided across k). A blocking Put is done with its source
+				// when it returns, so both planes share one buffer.
 				if me > 1 {
-					plane := extractPlane(cur, nx, nyAlloc, nz, 1)
 					leftNyLoc := planeCount(ny, images, me-1)
-					p2 := sectionPlane(nx, nz, leftNyLoc+1)
-					putPlane(img, p, me-1, p2, plane)
+					p.Put(me-1, sectionPlane(nx, nz, leftNyLoc+1), extractPlane(halo, cur, nx, nyAlloc, nz, 1))
 				}
 				if me < images {
-					plane := extractPlane(cur, nx, nyAlloc, nz, nyLoc)
-					p2 := sectionPlane(nx, nz, 0)
-					putPlane(img, p, me+1, p2, plane)
+					p.Put(me+1, sectionPlane(nx, nz, 0), extractPlane(halo, cur, nx, nyAlloc, nz, nyLoc))
 				}
 				if !sync() {
 					done = it
@@ -299,12 +299,12 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 				// runtime encodes them at issue, so the later swap and sweep
 				// cannot race the in-flight payloads.
 				if me > 1 {
-					plane := extractPlane(next, nx, nyAlloc, nz, 1)
+					plane := extractPlane(make([]float32, nx*nz), next, nx, nyAlloc, nz, 1)
 					leftNyLoc := planeCount(ny, images, me-1)
 					p.PutAsync(me-1, sectionPlane(nx, nz, leftNyLoc+1), plane)
 				}
 				if me < images {
-					plane := extractPlane(next, nx, nyAlloc, nz, nyLoc)
+					plane := extractPlane(make([]float32, nx*nz), next, nx, nyAlloc, nz, nyLoc)
 					p.PutAsync(me+1, sectionPlane(nx, nz, 0), plane)
 				}
 
@@ -354,12 +354,12 @@ func Run(opts caf.Options, images int, prm Params) (Result, error) {
 				// extractPlane snapshots into a fresh buffer, so no producer
 				// quiet is owed before the next sweep.
 				if me > 1 {
-					plane := extractPlane(next, nx, nyAlloc, nz, 1)
+					plane := extractPlane(make([]float32, nx*nz), next, nx, nyAlloc, nz, 1)
 					leftNyLoc := planeCount(ny, images, me-1)
 					p.PutSignalAsync(me-1, sectionPlane(nx, nz, leftNyLoc+1), plane, sig)
 				}
 				if me < images {
-					plane := extractPlane(next, nx, nyAlloc, nz, nyLoc)
+					plane := extractPlane(make([]float32, nx*nz), next, nx, nyAlloc, nz, nyLoc)
 					p.PutSignalAsync(me+1, sectionPlane(nx, nz, 0), plane, sig)
 				}
 
@@ -495,19 +495,14 @@ func sectionPlane(nx, nz, j int) caf.Section {
 }
 
 // extractPlane copies local j-plane j out of the working array (whose j
-// extent is nyAlloc+2) in section (column-major) order.
-func extractPlane(cur []float32, nx, nyAlloc, nz, j int) []float32 {
-	out := make([]float32, nx*nz)
+// extent is nyAlloc+2) into out (nx*nz elements) in section (column-major)
+// order, and returns out.
+func extractPlane(out, cur []float32, nx, nyAlloc, nz, j int) []float32 {
 	for k := 0; k < nz; k++ {
 		base := nx * (j + (nyAlloc+2)*k)
 		copy(out[k*nx:(k+1)*nx], cur[base:base+nx])
 	}
 	return out
-}
-
-func putPlane(img *caf.Image, p *caf.Coarray[float32], target int, sec caf.Section, vals []float32) {
-	p.Put(target, sec, vals)
-	_ = img
 }
 
 // copyPlane copies local j-plane j from src into dst (both full working

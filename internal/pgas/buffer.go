@@ -2,41 +2,17 @@ package pgas
 
 import "sync"
 
-// Marshalling scratch pools for the put/get fast paths: steady-state
-// transfers borrow encode buffers, run-offset lists, and visibility-time
-// lists here instead of allocating per call. Pools hold pointers to slices so
-// returning a buffer never re-boxes the slice header. Borrowed buffers are
-// safe to recycle as soon as the transfer call returns, because every
-// transport copies payload bytes synchronously (pgas writes copy under the
-// partition lock before returning).
+// Scratch pools for the run-list transfer paths: steady-state vectored
+// puts and gets borrow run-offset lists and visibility-time lists here
+// instead of allocating per call. Pools hold pointers to slices so returning
+// a list never re-boxes the slice header. Payload bytes need no pool: the
+// blocking paths hand the caller's typed buffer to the transport as a byte
+// view (Bytes), and every transport is done with it when the call returns.
 
 var (
-	bytePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 	offsPool = sync.Pool{New: func() any { s := make([]int64, 0, 64); return &s }}
 	tsPool   = sync.Pool{New: func() any { s := make([]float64, 0, 64); return &s }}
 )
-
-// GetScratch borrows a byte buffer. The caller appends into (*bp)[:0] (or
-// sizes it with ScratchLen), stores the final slice back through the pointer,
-// and returns it with PutScratch.
-func GetScratch() *[]byte { return bytePool.Get().(*[]byte) }
-
-// PutScratch returns a borrowed byte buffer to the pool.
-func PutScratch(bp *[]byte) {
-	*bp = (*bp)[:0]
-	bytePool.Put(bp)
-}
-
-// ScratchLen resizes a borrowed byte buffer to exactly n bytes, reallocating
-// only when the capacity is insufficient. Contents are unspecified — for
-// destinations that are fully overwritten.
-func ScratchLen(bp *[]byte, n int) []byte {
-	if cap(*bp) < n {
-		*bp = make([]byte, n)
-	}
-	*bp = (*bp)[:n]
-	return *bp
-}
 
 // GetOffsScratch borrows an offset list (for run-list transfers).
 func GetOffsScratch() *[]int64 { return offsPool.Get().(*[]int64) }

@@ -1,15 +1,14 @@
 package pgas
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
+	"unsafe"
 )
 
 // Elem is the set of element types that may live in remotely-accessible
-// memory. Partitions are raw bytes; these helpers give the library layers a
-// typed view with explicit little-endian encoding, which keeps the whole
-// repository free of unsafe pointer reinterpretation.
+// memory. Partitions hold host-order bytes: the partition image of a typed
+// slice is exactly its in-memory representation, so Bytes views one as the
+// other and the put/get paths hand user buffers to the transport unchanged.
 type Elem interface {
 	byte | int32 | int64 | uint64 | float32 | float64
 }
@@ -17,88 +16,30 @@ type Elem interface {
 // SizeOf returns the encoded size in bytes of one element of type T.
 func SizeOf[T Elem]() int {
 	var v T
-	switch any(v).(type) {
-	case byte:
-		return 1
-	case int32, float32:
-		return 4
-	default:
-		return 8
-	}
+	return int(unsafe.Sizeof(v))
 }
 
-// EncodeSlice appends the little-endian encoding of src to dst and returns
-// the extended buffer. The buffer is grown to its final size in one step, so
-// encoding a large slice into a nil (or too-small) dst costs a single
-// allocation rather than a geometric append chain.
+// Bytes returns the in-memory bytes of s: a view that aliases s, not a copy.
+// Writing through the view writes s. A transport that receives the view as a
+// blocking put's source must be done with it when the call returns.
+func Bytes[T Elem](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*SizeOf[T]())
+}
+
+// EncodeSlice appends the partition bytes of src to dst and returns the
+// extended buffer — an owned copy, for sources that must outlive the call.
 func EncodeSlice[T Elem](dst []byte, src []T) []byte {
-	if s, ok := any(src).([]byte); ok {
-		return append(dst, s...)
-	}
-	n := len(dst)
-	need := len(src) * SizeOf[T]()
-	if cap(dst)-n < need {
-		grown := make([]byte, n, n+need)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:n+need]
-	out := dst[n:]
-	switch s := any(src).(type) {
-	case []int32:
-		for i, v := range s {
-			binary.LittleEndian.PutUint32(out[4*i:], uint32(v))
-		}
-	case []int64:
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(out[8*i:], uint64(v))
-		}
-	case []uint64:
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(out[8*i:], v)
-		}
-	case []float32:
-		for i, v := range s {
-			binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-		}
-	case []float64:
-		for i, v := range s {
-			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-		}
-	default:
-		panic(fmt.Sprintf("pgas: unsupported element type %T", src))
-	}
-	return dst
+	return append(dst, Bytes(src)...)
 }
 
-// DecodeSlice decodes len(dst) elements from the little-endian buffer src.
+// DecodeSlice fills dst from the partition bytes at the front of src, which
+// must hold at least len(dst) elements.
 func DecodeSlice[T Elem](dst []T, src []byte) {
-	switch d := any(dst).(type) {
-	case []byte:
-		copy(d, src)
-	case []int32:
-		for i := range d {
-			d[i] = int32(binary.LittleEndian.Uint32(src[4*i:]))
-		}
-	case []int64:
-		for i := range d {
-			d[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
-		}
-	case []uint64:
-		for i := range d {
-			d[i] = binary.LittleEndian.Uint64(src[8*i:])
-		}
-	case []float32:
-		for i := range d {
-			d[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-		}
-	case []float64:
-		for i := range d {
-			d[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-		}
-	default:
-		panic(fmt.Sprintf("pgas: unsupported element type %T", dst))
+	b := Bytes(dst)
+	if len(src) < len(b) {
+		panic(fmt.Sprintf("pgas: decoding %d bytes from a %d-byte buffer", len(b), len(src)))
 	}
+	copy(b, src)
 }
 
 // EncodeOne encodes a single element.

@@ -19,7 +19,7 @@ type segStore struct {
 }
 
 const (
-	segPageShift = 16 // 64 KiB pages
+	segPageShift = 12 // 4 KiB pages
 	segPageSize  = int64(1) << segPageShift
 	segPageMask  = segPageSize - 1
 )

@@ -223,11 +223,10 @@ func ToAll[T pgas.Elem](pe *PE, op ReduceOp, dest, src Sym, n int) {
 		}
 		pe.awaitFlag(ctl, k, seq)
 		childRaw := Get[T](pe, childRel, dest, 0, n)
-		pe.world.pw.Read(pe.p.ID, dest.Off, raw)
-		pgas.DecodeSlice(acc, raw)
+		pe.world.pw.Read(pe.p.ID, dest.Off, pgas.Bytes(acc))
 		copy(part, childRaw)
 		combine(op, acc, part)
-		pe.world.pw.Write(pe.p.ID, dest.Off, pgas.EncodeSlice[T](nil, acc), pe.p.Clock.Now())
+		pe.world.pw.Write(pe.p.ID, dest.Off, pgas.Bytes(acc), pe.p.Clock.Now())
 	}
 	// Broadcast the result from PE 0 through the same tree.
 	pe.Broadcast(0, dest, int64(n)*es)

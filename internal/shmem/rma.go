@@ -69,17 +69,15 @@ func (pe *PE) GetMem(target int, sym Sym, off int64, dst []byte) {
 // the typed shmem_put family.
 func Put[T pgas.Elem](pe *PE, target int, sym Sym, idx int, vals []T) {
 	es := int64(pgas.SizeOf[T]())
-	pe.PutMem(target, sym, int64(idx)*es, pgas.EncodeSlice[T](nil, vals))
+	pe.PutMem(target, sym, int64(idx)*es, pgas.Bytes(vals))
 }
 
 // Get reads n typed elements starting at element index idx of the symmetric
 // object — the typed shmem_get family.
 func Get[T pgas.Elem](pe *PE, target int, sym Sym, idx, n int) []T {
 	es := int64(pgas.SizeOf[T]())
-	raw := make([]byte, int64(n)*es)
-	pe.GetMem(target, sym, int64(idx)*es, raw)
 	out := make([]T, n)
-	pgas.DecodeSlice(out, raw)
+	pe.GetMem(target, sym, int64(idx)*es, pgas.Bytes(out))
 	return out
 }
 
@@ -121,17 +119,20 @@ func IPut[T pgas.Elem](pe *PE, target int, sym Sym, dstIdx, dstStride int, src [
 	prof := pe.world.prof
 	pe.p.Clock.Advance(prof.StridedInjectNs(nelems, int(es), intra, pairs))
 	lat := prof.DeliveryNs(intra, pairs)
-	// Gather the strided source elements densely into a pooled buffer, then
-	// scatter them with one vectored write (one target-lock acquisition).
-	bp := pgas.GetScratch()
-	buf := (*bp)[:0]
-	for k := 0; k < nelems; k++ {
-		buf = pgas.EncodeSlice[T](buf, src[srcIdx+k*srcStride:srcIdx+k*srcStride+1])
+	// Gather the strided source elements densely (a unit-stride source is
+	// already dense), then scatter them with one vectored write (one
+	// target-lock acquisition).
+	gather := src[srcIdx : srcIdx+nelems]
+	if srcStride != 1 {
+		gather = make([]T, nelems)
+		for k := range gather {
+			gather[k] = src[srcIdx+k*srcStride]
+		}
 	}
+	buf := pgas.Bytes(gather)
 	var vis float64
 	if pe.lossy(target) {
-		// One descriptor, one reliable message; apply runs synchronously so
-		// the pooled buffer is still live.
+		// One descriptor, one reliable message; apply runs synchronously.
 		vis, _ = pe.reliableSend(target, pe.p.Clock.Now(), lat, func(at float64) {
 			pe.world.pw.WriteV(target, sym.Off+int64(dstIdx)*es, int64(dstStride)*es, int(es), buf, at)
 		})
@@ -139,8 +140,6 @@ func IPut[T pgas.Elem](pe *PE, target int, sym Sym, dstIdx, dstStride int, src [
 		vis = pe.p.Clock.Now() + lat
 		pe.world.pw.WriteV(target, sym.Off+int64(dstIdx)*es, int64(dstStride)*es, int(es), buf, vis)
 	}
-	*bp = buf
-	pgas.PutScratch(bp)
 	pe.notePending(target, vis)
 }
 
@@ -169,17 +168,18 @@ func IGet[T pgas.Elem](pe *PE, target int, sym Sym, srcIdx, srcStride int, dst [
 	if pe.lossy(target) {
 		pe.reliableGet(target, start, prof.DeliveryNs(intra, pairs))
 	}
-	// Gather with one vectored read into a pooled buffer, then scatter into
-	// the caller's strided destination.
-	bp := pgas.GetScratch()
-	raw := pgas.ScratchLen(bp, nelems*int(es))
-	pe.world.pw.ReadV(target, sym.Off+int64(srcIdx)*es, int64(srcStride)*es, int(es), raw)
-	var one [1]T
-	for k := 0; k < nelems; k++ {
-		pgas.DecodeSlice(one[:], raw[int64(k)*es:int64(k+1)*es])
-		dst[dstIdx+k*dstStride] = one[0]
+	// Gather with one vectored read — straight into a unit-stride
+	// destination, else densely and then scattered.
+	dense := dst[dstIdx : dstIdx+nelems]
+	if dstStride != 1 {
+		dense = make([]T, nelems)
 	}
-	pgas.PutScratch(bp)
+	pe.world.pw.ReadV(target, sym.Off+int64(srcIdx)*es, int64(srcStride)*es, int(es), pgas.Bytes(dense))
+	if dstStride != 1 {
+		for k, v := range dense {
+			dst[dstIdx+k*dstStride] = v
+		}
+	}
 }
 
 // IPutMem is the byte-level 1-D strided put used by layered runtimes: nelems
@@ -375,7 +375,7 @@ func (pe *PE) PutSignal(target int, sym Sym, off int64, data []byte, sig Sym, si
 	pe.p.Clock.Advance(prof.PutInjectNs(len(data)+8, intra, pairs))
 	lat := prof.DeliveryNs(intra, pairs)
 	var sigBytes [8]byte
-	binary.LittleEndian.PutUint64(sigBytes[:], uint64(sigVal))
+	binary.NativeEndian.PutUint64(sigBytes[:], uint64(sigVal))
 	if pe.lossy(target) {
 		// Data and signal travel as one message: either both land (at the
 		// same delivery time, preserving signal-mediated completion) or
@@ -428,7 +428,7 @@ func (pe *PE) putSignalNBI(streams *fabric.NBIStreams, target int, sym Sym, off 
 	transfer := prof.NBITransferNs(len(data)+8, intra, pairs)
 	lat := prof.DeliveryNs(intra, pairs)
 	var sigBytes [8]byte
-	binary.LittleEndian.PutUint64(sigBytes[:], uint64(sigVal))
+	binary.NativeEndian.PutUint64(sigBytes[:], uint64(sigVal))
 	if pe.lossy(target) {
 		streams.IssueAt(target, pe.p.Clock.Now(), transfer, func(wire float64) float64 {
 			done, _ := pe.reliableSend(target, wire, lat, func(at float64) {

@@ -143,7 +143,7 @@ func (c Cmp) holds(a, b int64) bool {
 func (pe *PE) WaitUntil64(sym Sym, idx int, cmp Cmp, value int64) {
 	off := sym.At(int64(idx) * 8)
 	ts := pe.p.WaitUntil(off, 8, func(b []byte) bool {
-		return cmp.holds(int64(binary.LittleEndian.Uint64(b)), value)
+		return cmp.holds(int64(binary.NativeEndian.Uint64(b)), value)
 	})
 	pe.p.Clock.MergeAtLeast(ts)
 	pe.p.Clock.Advance(pe.world.prof.OverheadNs) // poll loop exit cost
@@ -159,7 +159,7 @@ func (pe *PE) SignalWaitUntil(sig Sym, idx int, cmp Cmp, value int64) int64 {
 	off := sig.At(int64(idx) * 8)
 	var got int64
 	ts := pe.p.WaitUntil(off, 8, func(b []byte) bool {
-		got = int64(binary.LittleEndian.Uint64(b))
+		got = int64(binary.NativeEndian.Uint64(b))
 		return cmp.holds(got, value)
 	})
 	pe.p.Clock.MergeAtLeast(ts)
@@ -178,7 +178,7 @@ func (pe *PE) WaitUntilStat(sig Sym, idx int, cmp Cmp, value int64, producers ..
 	off := sig.At(int64(idx) * 8)
 	var got int64
 	ts, err := pe.p.WaitUntilStat(off, 8, func(b []byte) bool {
-		got = int64(binary.LittleEndian.Uint64(b))
+		got = int64(binary.NativeEndian.Uint64(b))
 		return cmp.holds(got, value)
 	}, func() error {
 		var failed []int
