@@ -34,7 +34,7 @@ go test -race -count=1 ./...
 echo "==> go test -shuffle=on -count=1 ./... (order-independence)"
 go test -shuffle=on -count=1 ./...
 
-echo "==> fuzz smoke (paged segment store vs dense reference, 10s)"
+echo "==> fuzz smoke (paged store: bytes vs dense reference, word timestamps vs per-word max oracle, 10s)"
 go test -run '^$' -fuzz '^FuzzSegStore$' -fuzztime 10s ./internal/pgas
 
 echo "==> overlap smoke (put_nbi hides transfer; Himeno overlap beats blocking)"
@@ -63,7 +63,7 @@ echo "==> loss-free golden gate (nil plan vs loss-free plan: bit-identical virtu
 go test -run 'TestLossFreePlanBitIdentical|TestIssueAtMatchesIssue|TestLinkPenaltyWindowBackCompat' -count=1 ./internal/shmem ./internal/fabric
 
 echo "==> engine golden gate (goroutine vs event engine: bit-identical virtual times)"
-go test -run 'TestEventEngineMatchesGoroutine' -count=1 ./internal/pgas
+go test -run 'TestEventEngineMatchesGoroutine|TestVectoredWriteWakesWatcher' -count=1 ./internal/pgas
 go test -run 'TestEngineDifferential' -count=1 ./internal/caf
 go test -run 'TestHimenoGoldensOnEventEngine' -count=1 ./internal/himeno
 

@@ -1,6 +1,7 @@
 package pgas
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -240,8 +241,7 @@ func (w *World) RepairWrite(target int, off int64, data []byte, visibleAt float6
 	p := w.pes[target]
 	p.mu.Lock()
 	p.ensureLen(off + int64(len(data)))
-	p.seg.writeAt(off, data)
-	p.noteWrite(off, int64(len(data)), visibleAt)
+	p.noteWrite(off, data, visibleAt)
 	p.mu.Unlock()
 	w.bumpEvent()
 	// Same waiter-gated fan-out as depart: the repair write completes (and
@@ -262,11 +262,7 @@ func (w *World) ReadUint64Ts(target int, off int64) (uint64, float64) {
 	p.ensureLen(off + 8)
 	var b [8]byte
 	p.seg.readAt(off, b[:])
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, p.rangeTs(off, 8)
+	return binary.NativeEndian.Uint64(b[:]), p.rangeTs(off, 8)
 }
 
 // RMW64Stat is RMW64 with a fault status: when the target PE has failed the

@@ -27,15 +27,14 @@ func (w *World) Write(target int, off int64, data []byte, visibleAt float64) {
 	p := w.pes[target]
 	p.mu.Lock()
 	p.ensureLen(off + int64(len(data)))
-	p.seg.writeAt(off, data)
-	p.noteWrite(off, int64(len(data)), visibleAt)
+	p.noteWrite(off, data, visibleAt)
 	p.mu.Unlock()
 }
 
 // Touch performs the write-visibility bookkeeping of a one-byte store of
 // zero at (target, off) without materialising partition memory that has
 // never been written. Symmetric-heap allocators use it to "back" a freshly
-// allocated region: the timestamp index, watch scan, and waiter wakeups
+// allocated region: the word timestamp, watch scan, and waiter wakeups
 // behave exactly as for Write([]byte{0}), but a partition that has not
 // grown to cover off stays small — unwritten memory already reads as zero.
 // If the byte is materialised the store happens for real, because a re-used
@@ -49,7 +48,6 @@ func (w *World) Touch(target int, off int64, visibleAt float64) {
 	}
 	p := w.pes[target]
 	p.mu.Lock()
-	p.seg.zeroByte(off)
 	p.noteTouch(off, visibleAt)
 	p.mu.Unlock()
 }
@@ -125,8 +123,7 @@ func (w *World) RMW64(target int, off int64, op AtomicOp, operand uint64, visibl
 		panic(fmt.Sprintf("pgas: unknown atomic op %d", op))
 	}
 	binary.NativeEndian.PutUint64(b[:], nw)
-	p.seg.writeAt(off, b[:])
-	p.noteWrite(off, 8, visibleAt)
+	p.noteWrite(off, b[:], visibleAt)
 	return old
 }
 
@@ -143,19 +140,18 @@ func (w *World) CompareSwap64(target int, off int64, expected, desired uint64, v
 	old := binary.NativeEndian.Uint64(b[:])
 	if old == expected && w.stateOf(target) != stateFailed {
 		binary.NativeEndian.PutUint64(b[:], desired)
-		p.seg.writeAt(off, b[:])
-		p.noteWrite(off, 8, visibleAt)
+		p.noteWrite(off, b[:], visibleAt)
 	}
 	return old
 }
 
-// tsTrackMaxBytes bounds which writes record per-word timestamps: flag and
+// tsTrackMaxBytes bounds which writes stamp per-word timestamps: flag and
 // control-word traffic is always small; bulk payloads are never waited on.
 const tsTrackMaxBytes = 1024
 
-// noteWrite records a write's visibility time on the per-word timestamp
-// index and, when a waiter is registered, on overlapping watches — then wakes
-// the waiters. Must be called with p.mu held.
+// noteWrite stores data at off, stamping its words with the write's
+// visibility time in the same page pass, raises overlapping watches to it,
+// and wakes the waiters. Must be called with p.mu held.
 //
 // Watch-awareness: the scan, the event-epoch bump, and the wakeup are all
 // skipped when no watch is registered — and since a waiter's predicate reads
@@ -168,31 +164,36 @@ const tsTrackMaxBytes = 1024
 // bytes before blocking — no wakeup can be lost. World-level conditions a
 // WaitUntilStat onEvent hook checks (departures, repair writes, dead links)
 // have their own fan-outs and never depend on unrelated-write wakeups.
-// Timestamp *recording* stays unconditional (see tsIndex): it is what keeps
+// Timestamp stamping stays unconditional (see segStore): it is what keeps
 // wait timestamps independent of whether the write raced ahead of the watch
 // registration.
-func (p *PE) noteWrite(off, n int64, visibleAt float64) {
-	if n <= tsTrackMaxBytes {
-		p.ts.recordRange(off, n, visibleAt)
+func (p *PE) noteWrite(off int64, data []byte, visibleAt float64) {
+	p.seg.write(off, data, visibleAt)
+	if p.raiseWatches(off, int64(len(data)), visibleAt) {
+		p.world.bumpEvent()
+		p.wakeLocked()
 	}
-	p.wakeOverlapping(off, n, visibleAt)
 }
 
 // noteTouch is noteWrite for the symmetric-heap Touch: the same watch scan
-// and wakeup, but the timestamp goes through the index's sparse overlay, so
-// backing a region at a high never-written offset does not materialise a
-// dense timestamp page (at 10k PEs the per-malloc Touch pages dominated
-// world-construction time and memory). Must be called with p.mu held.
+// and wakeup, but the store materialises nothing and the timestamp goes
+// through its sparse overlay, so backing a region at a high never-written
+// offset does not materialise a dense timestamp page (at 10k PEs the
+// per-malloc Touch pages dominated world-construction time and memory).
+// Must be called with p.mu held.
 func (p *PE) noteTouch(off int64, visibleAt float64) {
-	p.ts.recordWordSparse(off, visibleAt)
-	p.wakeOverlapping(off, 1, visibleAt)
+	p.seg.touch(off, visibleAt)
+	if p.raiseWatches(off, 1, visibleAt) {
+		p.world.bumpEvent()
+		p.wakeLocked()
+	}
 }
 
-// wakeOverlapping raises overlapping watches to visibleAt and wakes the
-// partition's waiters when any watch matched. Must be called with p.mu held.
-func (p *PE) wakeOverlapping(off, n int64, visibleAt float64) {
+// raiseWatches raises the watches overlapping [off, off+n) to visibleAt and
+// reports whether any did. Must be called with p.mu held.
+func (p *PE) raiseWatches(off, n int64, visibleAt float64) bool {
 	if len(p.watches) == 0 {
-		return
+		return false
 	}
 	matched := false
 	for wt := range p.watches {
@@ -203,22 +204,18 @@ func (p *PE) wakeOverlapping(off, n int64, visibleAt float64) {
 			matched = true
 		}
 	}
-	if !matched {
-		return
-	}
-	p.world.bumpEvent()
-	p.wakeLocked()
+	return matched
 }
 
 // rangeTs returns the latest recorded visibility timestamp overlapping
 // [off, off+n). Must be called with p.mu held.
-func (p *PE) rangeTs(off, n int64) float64 { return p.ts.maxRange(off, n) }
+func (p *PE) rangeTs(off, n int64) float64 { return p.seg.rangeTs(off, n) }
 
 // WaitUntil blocks the calling PE until pred holds over the n bytes at off of
 // its *own* partition, then returns the virtual time at which the last write
 // to the range became visible (0 if the range was never written). The caller
 // is responsible for merging the returned timestamp into its clock; the
-// per-word timestamp index makes the result independent of whether the
+// per-word timestamps make the result independent of whether the
 // satisfying write raced ahead of the watch registration.
 //
 // This is the substrate for shmem_wait_until and for the local spin of the

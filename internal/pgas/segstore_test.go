@@ -24,7 +24,7 @@ func TestSegStoreMatchesFlatModel(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			data := make([]byte, n)
 			rng.Read(data)
-			s.writeAt(off, data)
+			s.write(off, data, 0)
 			copy(model[off:], data)
 		} else {
 			got := make([]byte, n)
@@ -39,7 +39,7 @@ func TestSegStoreMatchesFlatModel(t *testing.T) {
 func TestSegStoreReadsBeyondExtentAreZero(t *testing.T) {
 	var s segStore
 	s.ensure(0, 10)
-	s.writeAt(0, []byte{1, 2, 3})
+	s.write(0, []byte{1, 2, 3}, 0)
 	got := make([]byte, 16)
 	for i := range got {
 		got[i] = 0xFF
@@ -66,7 +66,7 @@ func TestSegStoreViewCrossingPages(t *testing.T) {
 	s.ensure(0, 2*segPageSize)
 	// Straddle the first page boundary.
 	off := segPageSize - 4
-	s.writeAt(off, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	s.write(off, []byte{1, 2, 3, 4, 5, 6, 7, 8}, 0)
 	scratch := make([]byte, 8)
 	v := s.view(off, 8, scratch)
 	if !bytes.Equal(v, []byte{1, 2, 3, 4, 5, 6, 7, 8}) {
@@ -81,22 +81,47 @@ func TestSegStoreViewCrossingPages(t *testing.T) {
 	}
 }
 
-// zeroByte must not materialise a page (the Malloc backing touch relies on
+// touch must not materialise a page (the Malloc backing touch relies on
 // this) but must clear a real byte when the page exists.
 func TestSegStoreZeroByte(t *testing.T) {
 	var s segStore
 	s.ensure(0, segPageSize)
-	s.zeroByte(100)
+	s.touch(100, 1)
 	for _, pg := range s.pages {
-		if pg != nil {
-			t.Fatal("zeroByte materialised a page")
+		if pg.data != nil || pg.ts != nil {
+			t.Fatal("touch materialised a page")
 		}
 	}
-	s.writeAt(100, []byte{0xAA})
-	s.zeroByte(100)
+	s.write(100, []byte{0xAA}, 2)
+	s.touch(100, 1)
 	got := make([]byte, 1)
 	s.readAt(100, got)
 	if got[0] != 0 {
-		t.Fatalf("zeroByte left %#x", got[0])
+		t.Fatalf("touch left %#x", got[0])
+	}
+}
+
+// The page table spans only the written window: a partition whose data sits
+// above the idle 1 MiB staging buffer (pages 256 and 257) holds a few table
+// entries, not one per page from 0, and a later write below that window
+// re-bases the table downward without losing what it holds.
+func TestSegStoreTableSpansWrittenWindow(t *testing.T) {
+	var s segStore
+	s.ensure(0, 258*segPageSize)
+	s.write(256*segPageSize+8, []byte{1}, 1)
+	s.write(257*segPageSize+8, []byte{2}, 2)
+	if len(s.pages) > 4 {
+		t.Fatalf("page table holds %d entries after writing pages 256 and 257", len(s.pages))
+	}
+	s.write(3*segPageSize+8, []byte{3}, 3)
+	for i, pn := range []int64{256, 257, 3} {
+		got := make([]byte, 1)
+		s.readAt(pn*segPageSize+8, got)
+		if got[0] != byte(i+1) {
+			t.Fatalf("page %d holds %d, want %d", pn, got[0], i+1)
+		}
+		if ts := s.rangeTs(pn*segPageSize+8, 1); ts != float64(i+1) {
+			t.Fatalf("page %d stamped %v, want %d", pn, ts, i+1)
+		}
 	}
 }

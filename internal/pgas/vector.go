@@ -4,10 +4,12 @@ import "fmt"
 
 // Vectored one-sided access. A strided or multi-run transfer through the
 // element-wise Write/Read costs one lock acquisition, one watch scan, and one
-// broadcast per piece; these entry points acquire the target partition's lock
-// once per *transfer* and coalesce the wakeup, while recording per-piece
-// visibility timestamps exactly as the equivalent sequence of element-wise
-// calls would — virtual-time results are bit-identical by construction.
+// wakeup per piece; these entry points acquire the target partition's lock
+// once per *transfer*, walk the store page by page, and wake the partition's
+// waiters at most once — only when a piece overlapped a watch — while
+// stamping per-piece visibility timestamps exactly as the equivalent sequence
+// of element-wise calls would: virtual-time results are bit-identical by
+// construction.
 
 // WriteV scatters len(src)/elemSize dense source elements into the target
 // PE's partition at byte stride strideBytes starting at off, all visible at
@@ -33,27 +35,14 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 	es := int64(elemSize)
 	p.mu.Lock()
 	p.ensureLen(off + int64(nelems-1)*strideBytes + es)
-	watched := len(p.watches) > 0
-	track := es <= tsTrackMaxBytes
-	for k := 0; k < nelems; k++ {
-		o := off + int64(k)*strideBytes
-		p.seg.writeAt(o, src[int64(k)*es:int64(k+1)*es])
-		if track {
-			p.ts.recordRange(o, es, visibleAt)
-		}
-		if watched {
-			for wt := range p.watches {
-				if o < wt.off+wt.n && wt.off < o+es {
-					if visibleAt > wt.ts {
-						wt.ts = visibleAt
-					}
-				}
-			}
-		}
+	p.seg.writeV(off, strideBytes, elemSize, src, visibleAt)
+	matched := false
+	for k := 0; k < nelems && len(p.watches) > 0; k++ {
+		matched = p.raiseWatches(off+int64(k)*strideBytes, es, visibleAt) || matched
 	}
-	if watched {
+	if matched {
 		p.world.bumpEvent()
-		p.cond.Broadcast()
+		p.wakeLocked()
 	}
 	p.mu.Unlock()
 }
@@ -78,10 +67,7 @@ func (w *World) ReadV(target int, off, strideBytes int64, elemSize int, dst []by
 	}
 	p := w.pes[target]
 	p.mu.Lock()
-	for k := 0; k < nelems; k++ {
-		o := off + int64(k)*strideBytes
-		p.seg.readAt(o, dst[int64(k)*es:int64(k+1)*es])
-	}
+	p.seg.readV(off, strideBytes, elemSize, dst)
 	p.mu.Unlock()
 }
 
@@ -114,27 +100,14 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	}
 	p.mu.Lock()
 	p.ensureLen(extent)
-	watched := len(p.watches) > 0
-	track := rb <= tsTrackMaxBytes
+	matched := false
 	for i, o := range offs {
-		o += base
-		p.seg.writeAt(o, src[int64(i)*rb:int64(i+1)*rb])
-		if track {
-			p.ts.recordRange(o, rb, visAt[i])
-		}
-		if watched {
-			for wt := range p.watches {
-				if o < wt.off+wt.n && wt.off < o+rb {
-					if visAt[i] > wt.ts {
-						wt.ts = visAt[i]
-					}
-				}
-			}
-		}
+		p.seg.write(base+o, src[int64(i)*rb:int64(i+1)*rb], visAt[i])
+		matched = p.raiseWatches(base+o, rb, visAt[i]) || matched
 	}
-	if watched {
+	if matched {
 		p.world.bumpEvent()
-		p.cond.Broadcast()
+		p.wakeLocked()
 	}
 	p.mu.Unlock()
 }

@@ -2,7 +2,9 @@ package pgas
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -17,6 +19,22 @@ import (
 // randomised transfers (including overlapping placements and out-of-extent
 // reads) and require identical observable state.
 
+// vectorBases are the partition offsets the property tests place transfers
+// at: the bottom of the partition, and just below 1 MiB, where the CAF
+// runtime's data sits above its staging buffer, so the store's page table
+// starts at page 255 and transfers straddle the page-256 edge.
+var vectorBases = []int64{0, 1<<20 - 2048}
+
+// vectorElemSize draws an element or run size: mostly flag-to-cache-line
+// sized, sometimes up to two pages, so elements straddle page edges and
+// cross tsTrackMaxBytes.
+func vectorElemSize(rng *rand.Rand, small int) int {
+	if rng.Intn(4) == 0 {
+		return 1 + rng.Intn(int(2*segPageSize))
+	}
+	return 1 + rng.Intn(small)
+}
+
 func twoWorlds(t *testing.T) (*World, *World) {
 	t.Helper()
 	wv, err := NewWorld(fabric.Stampede(), 2)
@@ -30,17 +48,17 @@ func twoWorlds(t *testing.T) (*World, *World) {
 	return wv, we
 }
 
-func comparePartitions(t *testing.T, wv, we *World, target int, extent int64) {
+func comparePartitions(t *testing.T, wv, we *World, target int, base, extent int64) {
 	t.Helper()
 	bv := make([]byte, extent)
 	be := make([]byte, extent)
-	wv.Read(target, 0, bv)
-	we.Read(target, 0, be)
+	wv.Read(target, base, bv)
+	we.Read(target, base, be)
 	if !bytes.Equal(bv, be) {
-		t.Fatalf("vectored and element-wise partitions differ over [0,%d)", extent)
+		t.Fatalf("vectored and element-wise partitions differ over [%d,%d)", base, base+extent)
 	}
 	// Timestamps must agree word by word, not just content.
-	for off := int64(0); off+8 <= extent; off += 8 {
+	for off := base; off+8 <= base+extent; off += 8 {
 		tv := wv.pes[target].rangeTs(off, 8)
 		te := we.pes[target].rangeTs(off, 8)
 		if tv != te {
@@ -53,12 +71,13 @@ func TestWriteVMatchesElementwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 200; iter++ {
 		wv, we := twoWorlds(t)
-		const extent = 8192
+		base := vectorBases[rng.Intn(len(vectorBases))]
+		extent := int64(8192)
 		for xfer := 0; xfer < 4; xfer++ {
-			es := 1 + rng.Intn(64)
+			es := vectorElemSize(rng, 64)
 			nelems := rng.Intn(16)
 			stride := int64(rng.Intn(3 * es)) // includes overlap (stride < es) and zero
-			off := int64(rng.Intn(1024))
+			off := base + int64(rng.Intn(1024))
 			src := make([]byte, nelems*es)
 			rng.Read(src)
 			vis := float64(rng.Intn(1000))
@@ -66,8 +85,9 @@ func TestWriteVMatchesElementwise(t *testing.T) {
 			for k := 0; k < nelems; k++ {
 				we.Write(1, off+int64(k)*stride, src[k*es:(k+1)*es], vis)
 			}
+			extent = max(extent, off-base+int64(nelems)*(stride+int64(es)))
 		}
-		comparePartitions(t, wv, we, 1, extent)
+		comparePartitions(t, wv, we, 1, base, extent)
 	}
 }
 
@@ -75,10 +95,11 @@ func TestWriteRunsMatchesElementwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for iter := 0; iter < 200; iter++ {
 		wv, we := twoWorlds(t)
-		const extent = 8192
-		runBytes := 1 + rng.Intn(96)
+		runBytes := vectorElemSize(rng, 96)
 		nruns := rng.Intn(12)
-		base := int64(rng.Intn(256))
+		zone := vectorBases[rng.Intn(len(vectorBases))]
+		base := zone + int64(rng.Intn(256))
+		extent := 256 + 2048 + int64(runBytes)
 		offs := make([]int64, nruns)
 		visAt := make([]float64, nruns)
 		for i := range offs {
@@ -93,7 +114,7 @@ func TestWriteRunsMatchesElementwise(t *testing.T) {
 		for i, o := range offs {
 			we.Write(1, base+o, src[i*runBytes:(i+1)*runBytes], visAt[i])
 		}
-		comparePartitions(t, wv, we, 1, extent)
+		comparePartitions(t, wv, we, 1, zone, extent)
 	}
 }
 
@@ -101,16 +122,17 @@ func TestReadVMatchesElementwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 200; iter++ {
 		wv, we := twoWorlds(t)
+		base := vectorBases[rng.Intn(len(vectorBases))]
 		seed := make([]byte, 2048)
 		rng.Read(seed)
-		wv.Write(1, 0, seed, 1)
-		we.Write(1, 0, seed, 1)
-		es := 1 + rng.Intn(64)
+		wv.Write(1, base, seed, 1)
+		we.Write(1, base, seed, 1)
+		es := vectorElemSize(rng, 64)
 		nelems := rng.Intn(16)
 		stride := int64(rng.Intn(4 * es))
 		// Offsets may run past the written extent: both paths must read zeros
 		// there without growing the partition.
-		off := int64(rng.Intn(4096))
+		off := base + int64(rng.Intn(4096))
 		dv := make([]byte, nelems*es)
 		de := make([]byte, nelems*es)
 		wv.ReadV(1, off, stride, es, dv)
@@ -127,13 +149,14 @@ func TestReadRunsMatchesElementwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for iter := 0; iter < 200; iter++ {
 		wv, we := twoWorlds(t)
+		zone := vectorBases[rng.Intn(len(vectorBases))]
 		seed := make([]byte, 2048)
 		rng.Read(seed)
-		wv.Write(1, 16, seed, 1)
-		we.Write(1, 16, seed, 1)
-		runBytes := 1 + rng.Intn(96)
+		wv.Write(1, zone+16, seed, 1)
+		we.Write(1, zone+16, seed, 1)
+		runBytes := vectorElemSize(rng, 96)
 		nruns := rng.Intn(12)
-		base := int64(rng.Intn(64))
+		base := zone + int64(rng.Intn(64))
 		offs := make([]int64, nruns)
 		for i := range offs {
 			offs[i] = int64(rng.Intn(4096))
@@ -202,6 +225,45 @@ func TestWatchAwareWakeupNeverLost(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatalf("round %d (writer delay %v): %v", round, delayW, err)
+		}
+	}
+}
+
+// A vectored write must wake a watcher on both engines. The event engine
+// parks a waiter as a task, not on the partition's condition variable, so a
+// write that only broadcasts the condition leaves it asleep. PE 1 waits on a
+// word; once its watch is registered PE 0 fills the word with WriteV or
+// WriteRuns and then waits for PE 1's reply. A lost wakeup ends in the hang
+// watchdog.
+func TestVectoredWriteWakesWatcher(t *testing.T) {
+	one := binary.NativeEndian.AppendUint64(nil, 1)
+	writes := map[string]func(w *World){
+		"WriteV":    func(w *World) { w.WriteV(1, 64, 8, 8, one, 7) },
+		"WriteRuns": func(w *World) { w.WriteRuns(1, 64, []int64{0}, 8, one, []float64{7}) },
+	}
+	for _, opts := range []Options{{Engine: EngineGoroutine}, {Engine: EngineEvent, Workers: 2}} {
+		for name, write := range writes {
+			w, err := NewWorldOpts(fabric.Stampede(), 2, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = w.Run(func(p *PE) {
+				if p.ID == 1 {
+					ts := p.WaitUntil64(64, func(v uint64) bool { return v == 1 })
+					w.WriteUint64(0, 0, 1, ts+1)
+					return
+				}
+				for w.pes[1].waiters.Load() == 0 {
+					runtime.Gosched()
+				}
+				write(w)
+				if ts := p.WaitUntil64(0, func(v uint64) bool { return v == 1 }); ts != 8 {
+					panic("reply carries the wrong timestamp")
+				}
+			})
+			if err != nil {
+				t.Errorf("engine %v, %s: %v", opts.Engine, name, err)
+			}
 		}
 	}
 }

@@ -76,16 +76,15 @@ type PE struct {
 	Clock fabric.Clock
 	world *World
 
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// seg holds the partition's bytes and, per 8-byte word, the latest
+	// visibility time of a small write (flags, counters, lock words), so a
+	// WaitUntil that registers after the satisfying write still recovers its
+	// causal timestamp. Large payload writes are not stamped (nothing waits
+	// on them), keeping the bookkeeping O(1) per flag-sized write.
 	seg     segStore
 	watches map[*watch]struct{}
-	// ts records the latest visibility timestamp per 8-byte-aligned word for
-	// small writes (flags, counters, lock words), so a WaitUntil that
-	// registers after the satisfying write still recovers its causal
-	// timestamp. Large payload writes are not tracked (nothing waits on
-	// them), keeping the bookkeeping O(1) per flag-sized write.
-	ts tsIndex
 	// waiters mirrors len(watches) with an atomic so cross-PE wake fan-outs
 	// (departure, repair writes) can skip partitions nobody sleeps on without
 	// taking their locks. Updated only under mu; read lock-free. The seq-cst
