@@ -34,6 +34,12 @@ go test -race -count=1 ./...
 echo "==> go test -shuffle=on -count=1 ./... (order-independence)"
 go test -shuffle=on -count=1 ./...
 
+echo "==> single-worker gate (GOMAXPROCS=1: every default world has one worker slot)"
+# A PE that polls without parking or yielding starves the peer it waits on,
+# and the hang watchdog cannot see it (the spinner is not parked); the
+# timeout turns such a hang into a failure.
+GOMAXPROCS=1 timeout 600 go test -count=1 ./internal/...
+
 echo "==> fuzz smoke (paged store: bytes vs dense reference, word timestamps vs per-word max oracle, 10s)"
 go test -run '^$' -fuzz '^FuzzSegStore$' -fuzztime 10s ./internal/pgas
 
@@ -62,22 +68,22 @@ timeout 120 go test -race -run 'TestChaosLoss|TestRetryExhaustion|TestLossyRepla
 echo "==> loss-free golden gate (nil plan vs loss-free plan: bit-identical virtual times)"
 go test -run 'TestLossFreePlanBitIdentical|TestIssueAtMatchesIssue|TestLinkPenaltyWindowBackCompat' -count=1 ./internal/shmem ./internal/fabric
 
-echo "==> engine golden gate (goroutine vs event engine: bit-identical virtual times)"
-go test -run 'TestEventEngineMatchesGoroutine|TestVectoredWriteWakesWatcher' -count=1 ./internal/pgas
+echo "==> engine golden gate (legacy goroutine-engine goldens on worker pools x shard layouts: bit-identical virtual times)"
+go test -run 'TestEngineMatchesLegacyGoldens|TestVectoredWriteWakesWatcher|TestYieldUnblocksStatusSpin' -count=1 ./internal/pgas
 go test -run 'TestEngineDifferential' -count=1 ./internal/caf
-go test -run 'TestHimenoGoldensOnEventEngine' -count=1 ./internal/himeno
+go test -run 'TestHimenoVirtualTimeGoldens|TestHimenoGoldensOnEventEngine' -count=1 ./internal/himeno
 
-echo "==> event-engine scale smoke (4096 images on the bounded pool, bounded wall time)"
+echo "==> engine scale smoke (4096 images on the bounded pool, bounded wall time)"
 timeout 120 go test -run 'TestEventEngineHimeno4k' -count=1 ./internal/himeno
 
-echo "==> 100k-image event-engine smoke (sharded-barrier panel, 1 iteration, bounded wall time)"
+echo "==> 100k-image engine smoke (sharded-barrier panel, 1 iteration, bounded wall time)"
 # One 100k barrier row end-to-end: completes watchdog-clean or the timeout
 # turns a hang/poison into a failure. ~5s on the reference machine.
-timeout 180 go test -run '^$' -bench '^BenchmarkWallclockScale/barrier/n=102400/event$' -benchtime 1x .
+timeout 180 go test -run '^$' -bench '^BenchmarkWallclockScale/barrier/n=102400$' -benchtime 1x .
 
 echo "==> wall-clock bench smoke (one iteration per benchmark, incl. Himeno overlap)"
 # The fixed suite only: the full engine scale sweep (BenchmarkWallclockScale,
-# up to 10k images) is benchreport territory, not a smoke.
+# up to 100k images) is benchreport territory, not a smoke.
 go test -run '^$' -bench '^BenchmarkWallclock(ContigPut|StridedPut|LockContention|DHT|Himeno|HimenoOverlap|HimenoSignal)$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkWallclockScale/barrier/n=256' -benchtime 1x .
 

@@ -23,9 +23,11 @@
 //
 // Besides the fixed 256-image suite, the report carries the engine scale
 // sweep (bench_scale_test.go): three workload panels at 256/1k/4k/10k images
-// on both execution engines, recorded as ns per simulated operation and peak
-// goroutine count, plus the goroutine/event ns-per-simop ratio per panel and
-// size — the wall-clock improvement the event engine buys at scale.
+// (the barrier panel also at 100k), recorded as ns per simulated operation
+// and peak goroutine count, plus per panel and size the ratio of the deleted
+// goroutine-per-image engine's last recorded ns-per-simop (legacyGoroutine-
+// Scale, kept as data) to the measured one — the wall-clock improvement the
+// one engine buys at scale.
 //
 // Besides BENCH_9.json, every full run (and -transports alone) writes the
 // transport matrix to BENCH_10.json: the Himeno workload's host cost on each
@@ -38,7 +40,7 @@
 // gates are too noisy for CI, allocation counts are exact); it validates
 // the committed report's scale section against the PR 9 regression floor
 // (the 10k-image barrier-panel engine speedup must hold ≥4.5× and the
-// 100k-image event row must be present — the sharded-tree guarantees); and
+// 100k-image barrier row must be present — the sharded-tree guarantees); and
 // it validates the committed transport matrix (all three Himeno rows, mpi3
 // included, must be present with real measurements).
 package main
@@ -55,7 +57,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Result is one benchmark's measured cost per operation.
@@ -65,7 +66,7 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// ScaleResult is one (panel, image count, engine) cell of the scale sweep.
+// ScaleResult is one (panel, image count) cell of the scale sweep.
 type ScaleResult struct {
 	NsPerOp        float64 `json:"ns_per_op"`
 	NsPerSimop     float64 `json:"ns_per_simop"`
@@ -88,6 +89,26 @@ var seedBaseline = map[string]Result{
 	"WallclockHimenoSignal":   {NsPerOp: 141560786, BytesPerOp: 44889944, AllocsPerOp: 240251},
 }
 
+// legacyGoroutineScale holds the goroutine-per-image engine's ns per
+// simulated op per "panel/n=<images>", as last measured before that engine
+// was deleted (the */goroutine rows of the committed BENCH_9.json, same
+// toolchain and machine class). Like seedBaseline it is the like-for-like
+// denominator of a speedup column the tree can no longer measure itself.
+var legacyGoroutineScale = map[string]float64{
+	"himeno/n=256":    2345,
+	"himeno/n=1024":   2310,
+	"himeno/n=4096":   2540,
+	"himeno/n=10240":  3415,
+	"barrier/n=256":   2095,
+	"barrier/n=1024":  2680,
+	"barrier/n=4096":  3109,
+	"barrier/n=10240": 4538,
+	"dht/n=256":       1005,
+	"dht/n=1024":      1493,
+	"dht/n=4096":      1539,
+	"dht/n=10240":     2644,
+}
+
 type report struct {
 	Schema      string             `json:"schema"`
 	BaselineRef string             `json:"baseline_ref"`
@@ -98,9 +119,10 @@ type report struct {
 	Baseline    map[string]Result  `json:"baseline"`
 	Current     map[string]Result  `json:"current"`
 	Speedup     map[string]float64 `json:"speedup"`
-	// Scale is the engine sweep keyed "panel/n=<images>/<engine>"; Engine-
-	// Speedup is goroutine ns-per-simop over event ns-per-simop per
-	// "panel/n=<images>" — how much wall clock the event engine saves.
+	// Scale is the engine sweep keyed "panel/n=<images>" (reports written
+	// while two engines existed key it "panel/n=<images>/<engine>").
+	// EngineSpeedup is the goroutine engine's ns-per-simop over the measured
+	// one per "panel/n=<images>" — how much wall clock the engine saves.
 	Scale         map[string]ScaleResult `json:"scale,omitempty"`
 	EngineSpeedup map[string]float64     `json:"engine_speedup,omitempty"`
 }
@@ -314,17 +336,13 @@ func writeTransportReport(path, benchtime string, count, childProcs int, tr map[
 	return nil
 }
 
-// engineSpeedups derives the goroutine/event ns-per-simop ratio per
-// (panel, image count) from the sweep cells.
+// engineSpeedups derives the recorded-goroutine/measured ns-per-simop ratio
+// per (panel, image count) from the sweep cells.
 func engineSpeedups(scale map[string]ScaleResult) map[string]float64 {
 	sp := map[string]float64{}
-	for key, g := range scale {
-		base, ok := strings.CutSuffix(key, "/goroutine")
-		if !ok {
-			continue
-		}
-		if e, ok := scale[base+"/event"]; ok && e.NsPerSimop > 0 {
-			sp[base] = g.NsPerSimop / e.NsPerSimop
+	for key, c := range scale {
+		if g, ok := legacyGoroutineScale[key]; ok && c.NsPerSimop > 0 {
+			sp[key] = g / c.NsPerSimop
 		}
 	}
 	return sp
@@ -400,15 +418,19 @@ func checkScaleReport(path string) error {
 	if sp < 4.5 {
 		return fmt.Errorf("scale gate: %s barrier-panel 10k engine speedup %.2fx < 4.5x floor (sharded combining tree regressed)", path, sp)
 	}
-	const barrier100k = "barrier/n=102400/event"
+	const barrier100k = "barrier/n=102400"
 	row, ok := rep.Scale[barrier100k]
 	if !ok {
-		return fmt.Errorf("scale gate: %s missing scale[%q] (100k event row must be present)", path, barrier100k)
+		// Reports from the two-engine era name the row by engine.
+		row, ok = rep.Scale[barrier100k+"/event"]
+	}
+	if !ok {
+		return fmt.Errorf("scale gate: %s missing scale[%q] (100k barrier row must be present)", path, barrier100k)
 	}
 	if row.NsPerSimop <= 0 {
-		return fmt.Errorf("scale gate: %s has empty 100k event row", path)
+		return fmt.Errorf("scale gate: %s has empty 100k barrier row", path)
 	}
-	fmt.Printf("benchreport -check: %s barrier 10k speedup %.2fx (floor 4.5x), 100k event row %.0f ns/simop — ok\n",
+	fmt.Printf("benchreport -check: %s barrier 10k speedup %.2fx (floor 4.5x), 100k barrier row %.0f ns/simop — ok\n",
 		path, sp, row.NsPerSimop)
 	return nil
 }
@@ -513,10 +535,9 @@ func main() {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		fmt.Printf("\n%-24s %16s %12s %14s\n", "scale panel", "goroutine", "event", "event speedup")
+		fmt.Printf("\n%-24s %16s %12s %14s\n", "scale panel", "goroutine (rec)", "measured", "speedup")
 		for _, k := range keys {
-			g, e := scale[k+"/goroutine"], scale[k+"/event"]
-			fmt.Printf("%-24s %13.0f ns %9.0f ns %13.2fx\n", k, g.NsPerSimop, e.NsPerSimop, rep.EngineSpeedup[k])
+			fmt.Printf("%-24s %13.0f ns %9.0f ns %13.2fx\n", k, legacyGoroutineScale[k], scale[k].NsPerSimop, rep.EngineSpeedup[k])
 		}
 	}
 	fmt.Printf("wrote %s\n", *out)

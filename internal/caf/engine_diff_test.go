@@ -1,14 +1,14 @@
 package caf_test
 
-// Differential property test for the pgas execution engines: the same random
+// Differential property test for the pgas execution engine: the same random
 // program — one-sided puts/gets, nonblocking puts with per-image completion,
 // locks, fetch-adds, put-with-signal notify/wait, and STAT-bearing barriers,
 // optionally under a seeded lossy/killing fault plan — must produce
 // bit-identical virtual times, Stat outcomes, operation counters, payload
-// checksums, and link forensics whether the images run as one goroutine each
-// (EngineGoroutine) or as parked tasks on a bounded worker pool
-// (EngineEvent). The engine is host-time machinery only; nothing it schedules
-// may leak into the simulation.
+// checksums, and link forensics on every worker pool and barrier shard
+// layout, and must reproduce what the deleted goroutine-per-image engine
+// produced (recorded below as fingerprints). The engine is host-time
+// machinery only; nothing it schedules may leak into the simulation.
 //
 // Determinism of the *program* (so that any divergence is the engine's
 // fault) comes from two rules, the same ones the chaos replay tests use:
@@ -24,16 +24,18 @@ package caf_test
 //     dies, exactly the dhtLossRun protocol).
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 
 	"cafshmem/internal/caf"
 	"cafshmem/internal/fabric"
-	"cafshmem/internal/pgas"
 )
 
 // diffOutcome is everything one differential run determines. Two runs of the
-// same (seed, plan) under different engines must be DeepEqual.
+// same (seed, plan) under different worker pools or shard layouts must be
+// DeepEqual.
 type diffOutcome struct {
 	Times    []float64        // final virtual clock per image
 	Stats    []caf.Stat       // first non-OK sync stat per image (OK if none)
@@ -54,9 +56,9 @@ func diffSplitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// diffRun executes the random program for (seed, plan) on the given engine,
-// worker count, and barrier shard layout (0 = auto).
-func diffRun(t *testing.T, seed uint64, plan *fabric.FaultPlan, engine pgas.Engine, workers, shards int) diffOutcome {
+// diffRun executes the random program for (seed, plan) on the given worker
+// count (0 = GOMAXPROCS) and barrier shard layout (0 = auto).
+func diffRun(t *testing.T, seed uint64, plan *fabric.FaultPlan, workers, shards int) diffOutcome {
 	t.Helper()
 	const n, rounds, span = 6, 10, 8
 
@@ -95,7 +97,7 @@ func diffRun(t *testing.T, seed uint64, plan *fabric.FaultPlan, engine pgas.Engi
 	}
 
 	opts := chaosOpts(plan)
-	opts.Engine, opts.Workers, opts.BarrierShards = engine, workers, shards
+	opts.Workers, opts.BarrierShards = workers, shards
 	err := caf.Run(n, opts, func(img *caf.Image) {
 		me := img.ThisImage()
 		x := caf.Allocate[int64](img, span)
@@ -159,7 +161,7 @@ func diffRun(t *testing.T, seed uint64, plan *fabric.FaultPlan, engine pgas.Engi
 		}
 	})
 	if err != nil {
-		t.Fatalf("seed %d engine %v: run errored (hang or panic): %v", seed, engine, err)
+		t.Fatalf("seed %d workers=%d shards=%d: run errored (hang or panic): %v", seed, workers, shards, err)
 	}
 	return out
 }
@@ -174,40 +176,66 @@ func diffPlans(seed uint64) map[string]*fabric.FaultPlan {
 	return map[string]*fabric.FaultPlan{"clean": nil, "loss": lossy, "losskill": killer}
 }
 
-// TestEngineDifferential is the cross-engine replay property: goroutine-per-
-// image and the event-driven bounded pool must agree bit-for-bit on every
-// observable of the random program, in every fault regime — and so must
-// every barrier shard layout (single shard, two, an odd split, and more
-// shards than images), on both engines. The shard tree is host-side
-// machinery exactly like the engine: nothing about how arrivals combine may
-// leak into the simulation.
+// diffFingerprint hashes everything a differential run determines (FNV-1a
+// over the outcome's %+v rendering, which prints float64s exactly).
+func diffFingerprint(out diffOutcome) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", out)
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// legacyDiffFingerprints are diffFingerprint of the reference run per
+// "seed/plan", recorded from the goroutine-per-image engine (one goroutine
+// per image, no worker bound, auto shard layout) before it was deleted. They
+// are literal data: the engine that replaced it is held to the legacy
+// outcomes, not to itself.
+var legacyDiffFingerprints = map[string]string{
+	"101/clean":    "841fcea613b4cf46",
+	"101/loss":     "6dab767d6a3e8fc7",
+	"101/losskill": "d6c2628def6413b5",
+	"202/clean":    "0608a88aefa2dde0",
+	"202/loss":     "8adf6034914e8a53",
+	"202/losskill": "17050d9a81066b1d",
+	"303/clean":    "d3f536f9db88bdcb",
+	"303/loss":     "a748cb86af9e8da9",
+	"303/losskill": "6e1b133da68c2801",
+}
+
+// TestEngineDifferential is the replay property across host layouts: every
+// worker pool — one worker (fully serialised), two, and one per image —
+// crossed with every barrier shard layout (auto, single shard, two, an odd
+// split, and more shards than images) must reproduce the legacy engine's
+// outcome bit-for-bit on every observable of the random program, in every
+// fault regime. Workers and shards are host-side machinery: nothing about how
+// tasks are scheduled or arrivals combine may leak into the simulation.
 func TestEngineDifferential(t *testing.T) {
-	type variant struct {
-		engine  pgas.Engine
-		workers int
-		shards  int
-	}
-	variants := []variant{
-		{pgas.EngineGoroutine, 0, 1},
-		{pgas.EngineGoroutine, 0, 2},
-		{pgas.EngineEvent, 1, 0},
-		{pgas.EngineEvent, 1, 3}, // odd split of 6 images
-		{pgas.EngineEvent, 3, 2},
-		{pgas.EngineEvent, 3, 8}, // more shards than images
-	}
+	const images = 6
 	for _, seed := range []uint64{101, 202, 303} {
 		for name, plan := range diffPlans(seed) {
-			ref := diffRun(t, seed, plan, pgas.EngineGoroutine, 0, 0)
-			for pe, s := range ref.Stats {
-				if !isLegalStat(s) {
-					t.Errorf("seed %d %s: image %d illegal stat %v", seed, name, pe+1, s)
-				}
+			key := fmt.Sprintf("%d/%s", seed, name)
+			want, ok := legacyDiffFingerprints[key]
+			if !ok {
+				t.Fatalf("%s: no legacy fingerprint recorded", key)
 			}
-			for _, v := range variants {
-				got := diffRun(t, seed, plan, v.engine, v.workers, v.shards)
-				if !reflect.DeepEqual(ref, got) {
-					t.Errorf("seed %d %s: engine=%v workers=%d shards=%d diverged from reference:\n%+v\nvs\n%+v",
-						seed, name, v.engine, v.workers, v.shards, ref, got)
+			var ref *diffOutcome
+			for _, workers := range []int{1, 2, images} {
+				for _, shards := range []int{0, 1, 2, 3, 8} {
+					got := diffRun(t, seed, plan, workers, shards)
+					for pe, s := range got.Stats {
+						if !isLegalStat(s) {
+							t.Errorf("%s workers=%d shards=%d: image %d illegal stat %v", key, workers, shards, pe+1, s)
+						}
+					}
+					if fp := diffFingerprint(got); fp != want {
+						t.Errorf("%s workers=%d shards=%d: fingerprint %s, legacy golden %s:\n%+v",
+							key, workers, shards, fp, want, got)
+					}
+					if ref == nil {
+						ref = &got
+					} else if !reflect.DeepEqual(*ref, got) {
+						t.Errorf("%s workers=%d shards=%d diverged from workers=1 shards=0:\n%+v\nvs\n%+v",
+							key, workers, shards, *ref, got)
+					}
 				}
 			}
 		}
@@ -219,7 +247,7 @@ func TestEngineDifferential(t *testing.T) {
 // reduce the differential test to the loss-only case.
 func TestEngineDifferentialKillObserved(t *testing.T) {
 	seed := uint64(101)
-	out := diffRun(t, seed, diffPlans(seed)["losskill"], pgas.EngineEvent, 2, 2)
+	out := diffRun(t, seed, diffPlans(seed)["losskill"], 2, 2)
 	obs := false
 	for _, s := range out.Stats {
 		if s == caf.StatFailedImage {

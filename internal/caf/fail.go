@@ -81,9 +81,12 @@ func (img *Image) FailImage() {
 }
 
 // FailedImages returns the indices (1-based) of images known to have failed —
-// the failed_images() intrinsic.
+// the failed_images() intrinsic. Like ImageStatus it yields the image's worker
+// slot first when other images are queued for one.
 func (img *Image) FailedImages() []int {
-	pes := img.tr.(localMem).pgasPE().World().FailedPEs()
+	pe := img.tr.(localMem).pgasPE()
+	pe.Yield()
+	pes := pe.World().FailedPEs()
 	out := make([]int, len(pes))
 	for i, p := range pes {
 		out[i] = p + 1
@@ -93,10 +96,15 @@ func (img *Image) FailedImages() []int {
 
 // ImageStatus reports the state of image j (1-based) — the image_status()
 // intrinsic: StatOK while executing, StatStoppedImage after normal
-// completion, StatFailedImage after failure.
+// completion, StatFailedImage after failure. Programs spin on it waiting for
+// a peer to fail, so it first yields the image's worker slot when other
+// images are queued for one (pgas.PE.Yield): on a single worker the peer
+// would otherwise never run.
 func (img *Image) ImageStatus(j int) Stat {
 	img.checkImage(j)
-	w := img.tr.(localMem).pgasPE().World()
+	pe := img.tr.(localMem).pgasPE()
+	pe.Yield()
+	w := pe.World()
 	switch {
 	case w.Failed(j - 1):
 		return StatFailedImage

@@ -110,7 +110,7 @@ func Run(images int, opts Options, body func(*Image)) error {
 	}
 	switch o.Transport {
 	case TransportSHMEM:
-		w, err := shmem.NewWorld(shmem.Config{Machine: o.Machine, Profile: o.Profile, Sanitize: o.Sanitize, FaultPlan: o.FaultPlan, Engine: o.Engine, Workers: o.Workers, BarrierShards: o.BarrierShards}, images)
+		w, err := shmem.NewWorld(shmem.Config{Machine: o.Machine, Profile: o.Profile, Sanitize: o.Sanitize, FaultPlan: o.FaultPlan, Workers: o.Workers, BarrierShards: o.BarrierShards}, images)
 		if err != nil {
 			return err
 		}
@@ -123,7 +123,7 @@ func Run(images int, opts Options, body func(*Image)) error {
 		}
 		return w.FinalizeErr()
 	case TransportGASNet:
-		w, err := gasnet.NewWorld(gasnet.Config{Machine: o.Machine, Profile: o.Profile, Engine: o.Engine, Workers: o.Workers, BarrierShards: o.BarrierShards}, images)
+		w, err := gasnet.NewWorld(gasnet.Config{Machine: o.Machine, Profile: o.Profile, Workers: o.Workers, BarrierShards: o.BarrierShards}, images)
 		if err != nil {
 			return err
 		}
@@ -134,7 +134,7 @@ func Run(images int, opts Options, body func(*Image)) error {
 			body(img)
 		})
 	case TransportMPI3:
-		w, err := mpi3.NewWorld(mpi3.Config{Machine: o.Machine, Profile: o.Profile, Engine: o.Engine, Workers: o.Workers, BarrierShards: o.BarrierShards}, images)
+		w, err := mpi3.NewWorld(mpi3.Config{Machine: o.Machine, Profile: o.Profile, Workers: o.Workers, BarrierShards: o.BarrierShards}, images)
 		if err != nil {
 			return err
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cafshmem/internal/fabric"
-	"cafshmem/internal/pgas"
 )
 
 // TransportKind selects the communication layer under the CAF runtime.
@@ -184,13 +183,9 @@ type Options struct {
 	// the STAT-bearing APIs detect real FAIL IMAGE calls. Implied by a
 	// non-empty FaultPlan. Requires the OpenSHMEM transport.
 	FaultTolerant bool
-	// Engine selects the pgas execution engine: goroutine-per-PE (the
-	// default, one goroutine actively scheduled per image) or the event
-	// engine (images as resumable tasks over a bounded worker pool — the
-	// configuration for 1k–100k-image runs). Virtual times, forensics, and
-	// fault replays are bit-identical across engines. Workers bounds the
-	// event engine's pool; 0 means GOMAXPROCS.
-	Engine  pgas.Engine
+	// Workers bounds the pgas worker pool that runs the images as
+	// resumable tasks; 0 means GOMAXPROCS. Virtual times, forensics, and
+	// fault replays are bit-identical across pool sizes.
 	Workers int
 	// BarrierShards overrides the world barrier's combining-tree leaf-shard
 	// count (0 = auto-size, one shard per 256 images). A host-side

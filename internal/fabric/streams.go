@@ -168,10 +168,10 @@ func (s *NBIStreams) Targets(yield func(target int)) {
 // This is the scheduler-facing form of NBI completion: a completion horizon
 // is *computed* at issue time from the pipe recurrence, never awaited, so an
 // execution engine never parks a PE on quiet — Quiet merges the horizon into
-// the clock and moves on. The event engine relies on exactly this property:
+// the clock and moves on. The pgas engine relies on exactly this property:
 // its only park sites are barriers and watch waits, and these accessors are
 // what observability layers (and the engine differential tests) use to
-// assert the horizons agree across engines without perturbing them.
+// assert the horizons agree across worker layouts without perturbing them.
 func (s *NBIStreams) Horizon() float64 {
 	var d float64
 	for i := range s.recs {

@@ -5,7 +5,6 @@ import (
 
 	"cafshmem/internal/caf"
 	"cafshmem/internal/fabric"
-	"cafshmem/internal/pgas"
 )
 
 // Goldens captured on the PR 4 tree, before contexts and signal-driven
@@ -30,67 +29,50 @@ var goldenHimeno = []struct {
 // predates this PR.
 const goldenHimenoGosa = 0.055324603606416084
 
+// TestHimenoVirtualTimeGoldens pins the table on the default worker pool.
 func TestHimenoVirtualTimeGoldens(t *testing.T) {
+	checkHimenoGoldens(t, 0)
+}
+
+// TestHimenoGoldensOnEventEngine re-runs the pinned-golden table on explicit
+// worker pools — one worker (fully serialised), two, and one per image:
+// virtual time is a pure function of (program, machine), so the scheduler
+// that hosts the images must reproduce the exact float64 TimeMs and residual
+// the goroutine-per-image engine produced when the goldens were captured.
+func TestHimenoGoldensOnEventEngine(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		checkHimenoGoldens(t, workers)
+	}
+}
+
+// checkHimenoGoldens runs every golden on 8 images with the given worker
+// pool (0 keeps the default) and demands bit-identical times and residuals.
+func checkHimenoGoldens(t *testing.T, workers int) {
+	t.Helper()
+	const images = 8
 	prm := Params{NX: 16, NY: 64, NZ: 12, Iters: 3}
 	for _, g := range goldenHimeno {
-		blk, err := Run(g.opts, 8, prm)
+		o := g.opts
+		o.Workers = workers
+		blk, err := Run(o, images, prm)
 		if err != nil {
-			t.Fatalf("%s blocking: %v", g.name, err)
+			t.Fatalf("%s blocking (workers=%d): %v", g.name, workers, err)
 		}
-		if blk.TimeMs != g.blockingMs {
-			t.Errorf("%s: blocking TimeMs = %v, want pre-context golden %v", g.name, blk.TimeMs, g.blockingMs)
-		}
-		if blk.Gosa != goldenHimenoGosa {
-			t.Errorf("%s: blocking Gosa = %v, want %v", g.name, blk.Gosa, goldenHimenoGosa)
+		if blk.TimeMs != g.blockingMs || blk.Gosa != goldenHimenoGosa {
+			t.Errorf("%s (workers=%d): blocking = (%v, %v), want pre-context golden (%v, %v)",
+				g.name, workers, blk.TimeMs, blk.Gosa, g.blockingMs, goldenHimenoGosa)
 		}
 
 		op := prm
 		op.Overlap = true
 		op.OverlapBarrier = true
-		ob, err := Run(g.opts, 8, op)
+		ob, err := Run(o, images, op)
 		if err != nil {
-			t.Fatalf("%s overlap-barrier: %v", g.name, err)
+			t.Fatalf("%s overlap-barrier (workers=%d): %v", g.name, workers, err)
 		}
-		if ob.TimeMs != g.overlapBarrMs {
-			t.Errorf("%s: OverlapBarrier TimeMs = %v, want PR 4 golden %v", g.name, ob.TimeMs, g.overlapBarrMs)
-		}
-		if ob.Gosa != goldenHimenoGosa {
-			t.Errorf("%s: OverlapBarrier Gosa = %v, want %v", g.name, ob.Gosa, goldenHimenoGosa)
-		}
-	}
-}
-
-// TestHimenoGoldensOnEventEngine re-runs the pinned-golden table on the
-// event-driven engine: virtual time is a pure function of (program, machine),
-// so swapping the scheduler that hosts the images must reproduce the exact
-// same float64 TimeMs and residual. Two pool widths catch both the serialised
-// (workers=1) and the contended interleavings.
-func TestHimenoGoldensOnEventEngine(t *testing.T) {
-	prm := Params{NX: 16, NY: 64, NZ: 12, Iters: 3}
-	for _, workers := range []int{1, 3} {
-		for _, g := range goldenHimeno {
-			o := g.opts
-			o.Engine, o.Workers = pgas.EngineEvent, workers
-			blk, err := Run(o, 8, prm)
-			if err != nil {
-				t.Fatalf("%s blocking (event/%d): %v", g.name, workers, err)
-			}
-			if blk.TimeMs != g.blockingMs || blk.Gosa != goldenHimenoGosa {
-				t.Errorf("%s: event engine (workers=%d) blocking = (%v, %v), want golden (%v, %v)",
-					g.name, workers, blk.TimeMs, blk.Gosa, g.blockingMs, goldenHimenoGosa)
-			}
-
-			op := prm
-			op.Overlap = true
-			op.OverlapBarrier = true
-			ob, err := Run(o, 8, op)
-			if err != nil {
-				t.Fatalf("%s overlap-barrier (event/%d): %v", g.name, workers, err)
-			}
-			if ob.TimeMs != g.overlapBarrMs || ob.Gosa != goldenHimenoGosa {
-				t.Errorf("%s: event engine (workers=%d) OverlapBarrier = (%v, %v), want golden (%v, %v)",
-					g.name, workers, ob.TimeMs, ob.Gosa, g.overlapBarrMs, goldenHimenoGosa)
-			}
+		if ob.TimeMs != g.overlapBarrMs || ob.Gosa != goldenHimenoGosa {
+			t.Errorf("%s (workers=%d): OverlapBarrier = (%v, %v), want PR 4 golden (%v, %v)",
+				g.name, workers, ob.TimeMs, ob.Gosa, g.overlapBarrMs, goldenHimenoGosa)
 		}
 	}
 }
@@ -106,7 +88,6 @@ func TestEventEngineHimeno4k(t *testing.T) {
 		t.Skip("4k-image scale smoke skipped in -short mode")
 	}
 	o := stampedeOpts()
-	o.Engine = pgas.EngineEvent
 	prm := Params{NX: 8, NY: 4096, NZ: 8, Iters: 1}
 	res, err := Run(o, 4096, prm)
 	if err != nil {

@@ -21,8 +21,7 @@ import (
 type Config struct {
 	Machine *fabric.Machine
 	Profile string
-	// Engine/Workers select the pgas execution engine, as in shmem.Config.
-	Engine  pgas.Engine
+	// Workers bounds the pgas worker pool, as in shmem.Config.
 	Workers int
 	// BarrierShards configures the world-barrier combining tree
 	// (pgas.Options.BarrierShards); 0 selects the automatic layout.
@@ -66,7 +65,7 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	pw, err := pgas.NewWorldOpts(cfg.Machine, n, pgas.Options{Engine: cfg.Engine, Workers: cfg.Workers, BarrierShards: cfg.BarrierShards})
+	pw, err := pgas.NewWorldOpts(cfg.Machine, n, pgas.Options{Workers: cfg.Workers, BarrierShards: cfg.BarrierShards})
 	if err != nil {
 		return nil, err
 	}

@@ -50,48 +50,43 @@ type barrier struct {
 	// acquiring the root.
 	shards []bShard
 	root   bRoot
-	// arena holds the event-engine waiter records, one value per PE, indexed
-	// by rank — shard s's waiters are arena[s.lo:s.hi], so a release fans out
-	// over sequential memory instead of pointer-chasing an arrival-ordered
-	// list. Nil on the goroutine engine (whose waiters park on the shard
-	// condition variable instead).
+	// arena holds the waiter records, one value per PE, indexed by rank —
+	// shard s's waiters are arena[s.lo:s.hi], so a release fans out over
+	// sequential memory instead of pointer-chasing an arrival-ordered list.
 	arena []bWaiter
 }
 
 // bRoot is the top of the combining tree. n mirrors the flat barrier's alive
 // participant count; done counts the shards that reported completion for the
-// current generation; maxT accumulates the shard maxima as they report.
+// current generation; maxT accumulates the shard maxima as they report; gen
+// counts releases.
 type bRoot struct {
 	mu   sync.Mutex
 	n    int
 	done int
 	maxT float64
+	gen  uint64
 }
 
 // bShard is one combining-tree leaf. alive is the shard's alive owned PEs,
 // count the arrivals this generation; the shard is complete when they meet,
 // and the PE (or departer) that makes them meet reports the shard's maxT
-// upward exactly once per generation (the reported flag). outT/outErr/gen are
-// the release results the root writes back downward; goroutine-engine waiters
-// sleep on cond until gen moves.
+// upward exactly once per generation (the reported flag); the root's release
+// fills the shard's waiter records downward.
 type bShard struct {
 	mu       sync.Mutex
-	cond     *sync.Cond
 	lo, hi   int // owned PE rank range [lo, hi)
 	alive    int
 	count    int
 	maxT     float64
 	reported bool
-	gen      uint64
-	outT     float64
-	outErr   error
 	poisoned bool
 }
 
-// bWaiter is a PE's reusable barrier-wait record on the event engine, one
-// arena value per rank. waiting marks a registration for the current
-// generation (guarded by the owning shard's mutex; the release clears it
-// while additionally holding the dispatch lock). The atomic done flag is
+// bWaiter is a PE's reusable barrier-wait record, one arena value per rank.
+// waiting marks a registration for the current generation (guarded by the
+// owning shard's mutex; the release clears it while additionally holding the
+// dispatch lock). The atomic done flag is
 // stored after the result fields, so observing done == true makes the fields
 // safely readable without any lock (the wake alone is not enough — a stale
 // wake from an earlier targeted write could resume the waiter first).
@@ -107,8 +102,7 @@ type bWaiter struct {
 // newBarrier builds the shard tree for n PEs. shardsOpt is
 // Options.BarrierShards (0 = auto: one shard per defaultShardPEs ranks),
 // clamped to [1, n]; the chunking guarantees every shard starts non-empty.
-// event selects whether to allocate the waiter arena.
-func newBarrier(w *World, n, shardsOpt int, event bool) *barrier {
+func newBarrier(w *World, n, shardsOpt int) *barrier {
 	s := shardsOpt
 	if s <= 0 {
 		s = (n + defaultShardPEs - 1) / defaultShardPEs
@@ -118,17 +112,13 @@ func newBarrier(w *World, n, shardsOpt int, event bool) *barrier {
 	}
 	chunk := (n + s - 1) / s
 	s = (n + chunk - 1) / chunk
-	b := &barrier{w: w, chunk: chunk, shards: make([]bShard, s)}
+	b := &barrier{w: w, chunk: chunk, shards: make([]bShard, s), arena: make([]bWaiter, n)}
 	b.root.n = n
 	for i := range b.shards {
 		sh := &b.shards[i]
 		sh.lo = i * chunk
 		sh.hi = min(sh.lo+chunk, n)
 		sh.alive = sh.hi - sh.lo
-		sh.cond = sync.NewCond(&sh.mu)
-	}
-	if event {
-		b.arena = make([]bWaiter, n)
 	}
 	return b
 }
@@ -157,15 +147,15 @@ func (b *barrier) combine(sMax float64, self *PE) {
 // participant happens to report last — an engine-scheduling accident — cannot
 // change what anyone observes. The downward pass walks the shards in rank
 // order, resetting each for the next generation and fanning out its own
-// waiters: event-engine records are filled and batch-woken arena-slice by
-// arena-slice (one dispatch-lock pass per shard), goroutine-engine waiters
-// get the shard broadcast.
+// waiters: records are filled and batch-woken arena-slice by arena-slice (one
+// dispatch-lock pass per shard).
 func (b *barrier) release(self *PE) {
 	r := &b.root
 	outT := r.maxT
 	outErr := b.w.imageFaultErr()
 	r.maxT = 0
 	r.done = 0
+	r.gen++
 	b.w.bumpEvent()
 	for i := range b.shards {
 		sh := &b.shards[i]
@@ -179,12 +169,7 @@ func (b *barrier) release(self *PE) {
 		if sh.reported {
 			r.done++
 		}
-		sh.outT, sh.outErr = outT, outErr
-		sh.gen++
-		if b.arena != nil {
-			b.w.wakeBarrierShard(b.arena[sh.lo:sh.hi], outT, outErr, self)
-		}
-		sh.cond.Broadcast()
+		b.w.wakeBarrierShard(b.arena[sh.lo:sh.hi], outT, outErr, false, self)
 		sh.mu.Unlock()
 	}
 }
@@ -192,7 +177,7 @@ func (b *barrier) release(self *PE) {
 // await blocks until every alive participant has called it, then returns the
 // maximum arriveT across the group and the fault status at release time (nil
 // when every PE was alive). p identifies the arriving PE: it selects the
-// owning shard, and on the event engine its arena record.
+// owning shard and its arena record.
 func (b *barrier) await(p *PE, arriveT float64) (float64, error) {
 	sh := &b.shards[p.ID/b.chunk]
 	sh.mu.Lock()
@@ -205,17 +190,13 @@ func (b *barrier) await(p *PE, arriveT float64) (float64, error) {
 	}
 	sh.count++
 	b.w.bumpEvent()
-	gen := sh.gen
-	var bw *bWaiter
-	if p.wake != nil {
-		// Event engine: register the arena record before reporting upward —
-		// once the shard is reported, any other shard's report can trigger
-		// the release, and a record registered late would miss its fill.
-		bw = &b.arena[p.ID]
-		bw.outT, bw.outErr, bw.poisoned = 0, nil, false
-		bw.done.Store(false)
-		bw.waiting = true
-	}
+	// Register the arena record before reporting upward — once the shard is
+	// reported, any other shard's report can trigger the release, and a
+	// record registered late would miss its fill.
+	bw := &b.arena[p.ID]
+	bw.outT, bw.outErr, bw.poisoned = 0, nil, false
+	bw.done.Store(false)
+	bw.waiting = true
 	complete := sh.count == sh.alive && !sh.reported
 	var sMax float64
 	if complete {
@@ -226,34 +207,16 @@ func (b *barrier) await(p *PE, arriveT float64) (float64, error) {
 	if complete {
 		b.combine(sMax, p)
 	}
-	if bw != nil {
-		// Park until the releaser (or a poison) fills the record. Stale wake
-		// tokens are possible — loop on done. If this PE ran the release
-		// itself, done is already set and the park falls straight through.
-		b.w.beginBlock()
-		p.parkForBarrier(bw)
-		b.w.endBlock()
-		if bw.poisoned {
-			panic("pgas: barrier poisoned (another PE failed)")
-		}
-		return bw.outT, bw.outErr
-	}
-	// Goroutine engine: sleep on the shard condition variable until the
-	// generation moves. The next generation cannot release before this PE
-	// arrives again, so the shard's result fields stay valid to read here.
-	sh.mu.Lock()
-	for sh.gen == gen && !sh.poisoned {
-		b.w.beginBlock()
-		sh.cond.Wait()
-		b.w.endBlock()
-	}
-	poisoned := sh.poisoned
-	outT, outErr := sh.outT, sh.outErr
-	sh.mu.Unlock()
-	if poisoned {
+	// Park until the releaser (or a poison) fills the record. Stale wake
+	// tokens are possible — loop on done. If this PE ran the release itself,
+	// done is already set and the park falls straight through.
+	b.w.beginBlock()
+	p.parkForBarrier(bw)
+	b.w.endBlock()
+	if bw.poisoned {
 		panic("pgas: barrier poisoned (another PE failed)")
 	}
-	return outT, outErr
+	return bw.outT, bw.outErr
 }
 
 // parkForBarrier parks until the PE's barrier record is done. Each park
@@ -304,10 +267,7 @@ func (b *barrier) poison() {
 		sh := &b.shards[i]
 		sh.mu.Lock()
 		sh.poisoned = true
-		if b.arena != nil {
-			b.w.poisonBarrierShard(b.arena[sh.lo:sh.hi])
-		}
-		sh.cond.Broadcast()
+		b.w.wakeBarrierShard(b.arena[sh.lo:sh.hi], 0, nil, true, nil)
 		sh.mu.Unlock()
 	}
 }

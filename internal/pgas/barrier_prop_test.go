@@ -19,9 +19,8 @@ import (
 // semantics obviously correct, and the tree must be observationally
 // indistinguishable from it.
 
-// flatBarrier is the oracle: the old flat counting barrier's goroutine-engine
-// path, verbatim apart from the removed event-engine machinery (the oracle is
-// driven from plain test goroutines, which take the condition-variable path).
+// flatBarrier is the oracle: the old flat counting barrier with its
+// condition-variable wait, driven from plain test goroutines.
 type flatBarrier struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -148,10 +147,9 @@ func runSharded(t *testing.T, script [][]barrierEvent, n, shards int) []map[int]
 		return c
 	}
 	gen := func() uint64 {
-		sh := &b.shards[0]
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.gen
+		b.root.mu.Lock()
+		defer b.root.mu.Unlock()
+		return b.root.gen
 	}
 	return driveScript(t, script,
 		func(id int, at float64) (float64, error) { return b.await(w.PE(id), at) },
@@ -272,23 +270,25 @@ func TestBarrierTreeMatchesFlatOracle(t *testing.T) {
 }
 
 // TestBarrierShardLayoutInvariance runs a full SPMD program — barriers with
-// laggard clocks plus a mid-run failure on the STAT path — across engines ×
-// shard layouts and requires bit-identical per-PE release times on all of
-// them. This covers the event-engine arena path end-to-end (the oracle
-// comparison above drives the condition-variable path).
+// laggard clocks plus a mid-run failure on the STAT path — across worker
+// pools × shard layouts and requires bit-identical per-PE release times on
+// all of them. This covers the arena path end-to-end under real parks (the
+// oracle comparison above drives arrivals from plain test goroutines).
 func TestBarrierShardLayoutInvariance(t *testing.T) {
 	const n = 12
 	type cfg struct {
-		engine Engine
-		shards int
+		workers int
+		shards  int
 	}
-	cfgs := []cfg{
-		{EngineGoroutine, 0}, {EngineGoroutine, 1}, {EngineGoroutine, 5},
-		{EngineEvent, 0}, {EngineEvent, 1}, {EngineEvent, 5}, {EngineEvent, n + 3},
+	var cfgs []cfg
+	for _, workers := range []int{1, 3, n} {
+		for _, shards := range []int{0, 1, 5, n + 3} {
+			cfgs = append(cfgs, cfg{workers, shards})
+		}
 	}
 	var want []string
 	for _, c := range cfgs {
-		w, err := NewWorldOpts(fabric.Stampede(), n, Options{Engine: c.engine, Workers: 3, BarrierShards: c.shards})
+		w, err := NewWorldOpts(fabric.Stampede(), n, Options{Workers: c.workers, BarrierShards: c.shards})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func TestBarrierShardLayoutInvariance(t *testing.T) {
 			got[p.ID] = fmt.Sprintf("t1=%v rel=%v err=%v", p.Clock.Now(), rel, berr)
 		})
 		if err != nil {
-			t.Fatalf("engine=%v shards=%d: %v", c.engine, c.shards, err)
+			t.Fatalf("workers=%d shards=%d: %v", c.workers, c.shards, err)
 		}
 		got[n-1] = "failed"
 		if want == nil {
@@ -312,8 +312,8 @@ func TestBarrierShardLayoutInvariance(t *testing.T) {
 		}
 		for id := range got {
 			if got[id] != want[id] {
-				t.Errorf("engine=%v shards=%d PE %d: %q, want %q (layout must not change modelled results)",
-					c.engine, c.shards, id, got[id], want[id])
+				t.Errorf("workers=%d shards=%d PE %d: %q, want %q (layout must not change modelled results)",
+					c.workers, c.shards, id, got[id], want[id])
 			}
 		}
 	}

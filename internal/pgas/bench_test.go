@@ -62,8 +62,8 @@ func BenchmarkEncodeDecodeFloat64(b *testing.B) {
 	}
 }
 
-// BenchmarkBarrierRelease measures steady-state full-world barrier rounds on
-// the event engine: 256 PEs park, the release fans out through the shard
+// BenchmarkBarrierRelease measures steady-state full-world barrier rounds:
+// 256 PEs park, the release fans out through the shard
 // arenas and the pre-sized ready queue, everyone re-arrives. The measured
 // region starts with every PE except rank 0 already parked at its first
 // rendezvous, so op 1 onward is pure steady state; the companion test below
@@ -75,7 +75,7 @@ func BenchmarkBarrierRelease(b *testing.B) {
 	// Two workers: rank 0 pins one slot while it blocks on the start channel
 	// (a host-side wait, invisible to the scheduler), and the second slot
 	// circulates the other 255 PEs into their first park.
-	w, err := NewWorldOpts(fabric.Stampede(), n, Options{Engine: EngineEvent, Workers: 2})
+	w, err := NewWorldOpts(fabric.Stampede(), n, Options{Workers: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func BenchmarkBarrierRelease(b *testing.B) {
 }
 
 // TestBarrierReleaseZeroAllocs pins the satellite requirement: a steady-state
-// event-engine barrier release is 0 allocs/op. A regression here means the
+// barrier release is 0 allocs/op. A regression here means the
 // release path regrew the ready queue, reallocated waiter records, or
 // otherwise picked up a per-round heap dependency.
 func TestBarrierReleaseZeroAllocs(t *testing.T) {

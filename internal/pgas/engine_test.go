@@ -5,11 +5,12 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cafshmem/internal/fabric"
 )
 
-// runProgram executes a small RMA+wait+barrier program on the given engine
+// runProgram executes a small RMA+wait+barrier program with the given options
 // and returns the final virtual time of every PE. PE i writes a flag word
 // into PE (i+1)%n at a per-round visibility time, waits for its own flag,
 // merges the recorded timestamp, and barriers.
@@ -37,18 +38,31 @@ func runProgram(t *testing.T, opts Options, n, rounds int) []float64 {
 	return times
 }
 
-// TestEventEngineMatchesGoroutine is the substrate-level bit-identity check:
-// the same program produces the same final virtual time on every PE under
-// both engines, including with a worker pool far smaller than the world.
-func TestEventEngineMatchesGoroutine(t *testing.T) {
-	for _, n := range []int{2, 7, 32} {
-		ref := runProgram(t, Options{Engine: EngineGoroutine}, n, 5)
-		for _, workers := range []int{1, 2, 0} {
-			got := runProgram(t, Options{Engine: EngineEvent, Workers: workers}, n, 5)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("n=%d workers=%d PE %d: event %v != goroutine %v",
-						n, workers, i, got[i], ref[i])
+// legacyProgramTimes are runProgram's per-PE final virtual times for
+// n = 2, 7 and 32 (5 rounds) as the goroutine-per-PE engine produced them
+// before it was deleted: one goroutine per PE, each running concurrently
+// with no worker bound. They are literal data, not re-derived, so the engine
+// that replaced it is held to the legacy values rather than to itself.
+var legacyProgramTimes = map[int][]float64{
+	2:  {675, 675},
+	7:  {675, 675, 675, 675, 675, 675, 675},
+	32: {675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675, 675},
+}
+
+// TestEngineMatchesLegacyGoldens is the substrate-level bit-identity check:
+// the program reproduces the legacy engine's per-PE final virtual times under
+// every worker pool — one worker (fully serialised), two, and one per PE —
+// and every barrier shard layout.
+func TestEngineMatchesLegacyGoldens(t *testing.T) {
+	for n, want := range legacyProgramTimes {
+		for _, workers := range []int{1, 2, n} {
+			for _, shards := range []int{0, 2, n + 3} {
+				got := runProgram(t, Options{Workers: workers, BarrierShards: shards}, n, 5)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d workers=%d shards=%d PE %d: %v, legacy golden %v",
+							n, workers, shards, i, got[i], want[i])
+					}
 				}
 			}
 		}
@@ -59,7 +73,7 @@ func TestEventEngineMatchesGoroutine(t *testing.T) {
 // more than two PE bodies are ever between slot acquisition and release.
 func TestEventEngineBoundedWorkers(t *testing.T) {
 	const n, workers = 16, 2
-	w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, n, Options{Engine: EngineEvent, Workers: workers})
+	w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, n, Options{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +106,11 @@ func TestEventEngineBoundedWorkers(t *testing.T) {
 	}
 }
 
-// TestEventEngineDeadlockDetected checks the event engine's single-goroutine
+// TestEventEngineDeadlockDetected checks the world's single-goroutine
 // watchdog: a world whose PEs all wait on flags nobody will ever write must
 // be poisoned with the watchdog diagnostic rather than hang.
 func TestEventEngineDeadlockDetected(t *testing.T) {
-	w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, 4, Options{Engine: EngineEvent, Workers: 2})
+	w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, 4, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,17 +125,14 @@ func TestEventEngineDeadlockDetected(t *testing.T) {
 	}
 }
 
-// TestEventEngineFaultFanout exercises departures under the event engine's
-// watcher-registry fan-out: PEs blocked on a flag owned by a failing PE must
-// observe the failure through WaitUntilStat instead of hanging, on both
-// engines, with identical fault reports.
+// TestEventEngineFaultFanout exercises departures under the watcher-registry
+// fan-out: PEs blocked on a flag owned by a failing PE must observe the
+// failure through WaitUntilStat instead of hanging, on a serialised and a
+// concurrent worker pool alike.
 func TestEventEngineFaultFanout(t *testing.T) {
-	for _, opts := range []Options{
-		{Engine: EngineGoroutine},
-		{Engine: EngineEvent, Workers: 2},
-	} {
+	for _, opts := range []Options{{Workers: 1}, {Workers: 2}} {
 		opts := opts
-		t.Run(opts.Engine.String(), func(t *testing.T) {
+		t.Run(fmt.Sprintf("workers=%d", opts.Workers), func(t *testing.T) {
 			const n = 6
 			w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, n, opts)
 			if err != nil {
@@ -154,21 +165,71 @@ func TestEventEngineFaultFanout(t *testing.T) {
 	}
 }
 
-// TestParseEngine covers the CLI flag parser.
-func TestParseEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Engine
-		err  bool
-	}{
-		{"goroutine", EngineGoroutine, false},
-		{"", EngineGoroutine, false},
-		{"event", EngineEvent, false},
-		{"fibers", 0, true},
-	} {
-		got, err := ParseEngine(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Fatalf("ParseEngine(%q) = %v, %v; want %v, err=%v", tc.in, got, err, tc.want, tc.err)
+// runWithin runs w.Run(body) and fails the test if it has not returned after
+// limit: a starved PE holds no park, so the hang watchdog cannot catch it.
+func runWithin(t *testing.T, w *World, limit time.Duration, body func(*PE)) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- w.Run(body) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(limit):
+		t.Fatalf("run still going after %v: a PE starved on the worker pool", limit)
+		return nil
+	}
+}
+
+// TestYieldUnblocksStatusSpin is the single-worker starvation regression: PE
+// 0 busy-polls Failed(1) while PE 1, queued behind it for the only slot, is
+// the PE that will fail. Without the yield the spinner keeps the slot
+// forever; the hang watchdog never fires because the spinner is not parked.
+func TestYieldUnblocksStatusSpin(t *testing.T) {
+	w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, 2, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var polls atomic.Int64
+	err = runWithin(t, w, 10*time.Second, func(p *PE) {
+		if p.ID == 1 {
+			p.WaitUntil64(0, func(v uint64) bool { return v == 1 })
+			p.Clock.Advance(50)
+			p.Fail()
 		}
+		// Release PE 1, then spin on its status the way an image_status
+		// loop does: whichever PE started first, PE 1 now waits for the slot.
+		w.WriteUint64(1, 0, 1, 10)
+		for !w.Failed(1) {
+			polls.Add(1)
+			p.Yield()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if polls.Load() == 0 {
+		t.Fatal("PE 0 never polled: the spin was not exercised")
+	}
+}
+
+// TestYieldQueueStaysBounded: PEs that only ever yield to each other never
+// let the ready queue drain, so the queue must recycle its consumed front
+// instead of growing past the world size it was sized to at construction.
+func TestYieldQueueStaysBounded(t *testing.T) {
+	const n = 3
+	w, err := NewWorldOpts(&fabric.Machine{Name: "test", CoresPerNode: 4}, n, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = runWithin(t, w, 10*time.Second, func(p *PE) {
+		for i := 0; i < 10000; i++ {
+			p.Yield()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := cap(w.sched.ready); c != n {
+		t.Fatalf("ready queue capacity grew to %d, want %d", c, n)
 	}
 }

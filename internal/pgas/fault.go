@@ -82,11 +82,10 @@ func (w *World) depart(p *PE, to peState) {
 	w.departEpoch.Add(1)
 	w.bumpEvent()
 	w.barrier.depart(p.ID)
-	// Wake only partitions with a registered waiter: the state change above
-	// is sequenced before the waiter scan, and a waiter registers before
+	// Wake only PEs with a registered watch: the state change above is
+	// sequenced before the registry snapshot, and a waiter registers before
 	// re-checking fault state, so either the fan-out sees its registration
-	// or it sees the departure in its own entry checks (seq-cst Dekker; see
-	// PE.waiters and World.wakeWatchers).
+	// or it sees the departure in its own entry checks (see PE.addWatch).
 	w.wakeWatchers(nil)
 }
 
@@ -170,9 +169,9 @@ func (w *World) failedErr() error {
 // --- virtual-time hang watchdog ---
 
 // The watchdog is the backstop guarantee that no run hangs: if every alive PE
-// is blocked in a condition wait and no wake-relevant event (write, barrier
-// arrival or release, departure) occurs for stallRealDelay of real time, the
-// world is virtually deadlocked — all wake sources are PE goroutines, and all
+// is parked and no wake-relevant event (write, barrier arrival or release,
+// departure) occurs for the stall budget of real time, the world is
+// virtually deadlocked — all wake sources are PE goroutines, and all
 // of them are asleep — so the world is poisoned with a diagnostic instead of
 // hanging the process. Event counting is purely atomic; the fault-free hot
 // path pays two atomic adds per block/unblock and nothing in virtual time.
@@ -180,38 +179,19 @@ func (w *World) failedErr() error {
 const stallRealDelay = 75 * time.Millisecond
 
 // bumpEvent records a wake-relevant event. Called before the corresponding
-// broadcast so an armed detector always observes the epoch change.
+// wake so the watchdog always observes the epoch change.
 func (w *World) bumpEvent() { w.eventEpoch.Add(1) }
 
-// beginBlock notes that the calling PE is about to block. On the goroutine
-// engine, the last alive PE to block arms a one-shot detector; the event
-// engine runs a single per-world watchdog instead (see eventWatchdog), so
-// blocking there only maintains the counter.
-func (w *World) beginBlock() {
-	if w.blockedN.Add(1) >= w.aliveN.Load() && w.engine != EngineEvent {
-		e := w.eventEpoch.Load()
-		go w.stallDetect(e)
-	}
-}
+// beginBlock notes that the calling PE is about to block; the world's
+// watchdog (engine.go) reads the count.
+func (w *World) beginBlock() { w.blockedN.Add(1) }
 
 // endBlock undoes beginBlock after the wait returns.
 func (w *World) endBlock() { w.blockedN.Add(-1) }
 
-func (w *World) stallDetect(epoch uint64) {
-	time.Sleep(w.stallBudget())
-	if w.eventEpoch.Load() != epoch {
-		return // progress happened; a later blocker re-arms if needed
-	}
-	alive := w.aliveN.Load()
-	if alive <= 0 || w.blockedN.Load() < alive {
-		return
-	}
-	w.poisonStall(alive)
-}
-
-// poisonStall declares the world deadlocked (shared by both engines'
-// watchdogs): every alive PE is blocked and no wake-relevant event has
-// occurred for the stall budget, so no wake source remains.
+// poisonStall declares the world deadlocked: every alive PE is blocked and
+// no wake-relevant event has occurred for the stall budget, so no wake
+// source remains.
 func (w *World) poisonStall(alive int32) {
 	if w.failedErr() != nil {
 		return // already unwinding
@@ -298,7 +278,6 @@ var ErrWaitRecheck = fmt.Errorf("pgas: wait interrupted for fault recheck")
 // control back to the caller for recovery work that needs communication.
 func (p *PE) WaitUntilStat(off, n int64, pred func([]byte) bool, onEvent func() error) (float64, error) {
 	wt := &watch{off: off, n: n}
-	scratch := make([]byte, n)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.ensureLen(off + n)
@@ -308,7 +287,7 @@ func (p *PE) WaitUntilStat(off, n int64, pred func([]byte) bool, onEvent func() 
 		if err := p.world.failedErr(); err != nil {
 			return 0, err
 		}
-		if pred(p.seg.view(off, n, scratch)) {
+		if pred(p.seg.view(off, n, &p.viewBuf)) {
 			ts := p.rangeTs(off, n)
 			if wt.ts > ts {
 				ts = wt.ts

@@ -171,7 +171,7 @@ func (p *PE) noteWrite(off int64, data []byte, visibleAt float64) {
 	p.seg.write(off, data, visibleAt)
 	if p.raiseWatches(off, int64(len(data)), visibleAt) {
 		p.world.bumpEvent()
-		p.wakeLocked()
+		p.world.wakeEvent(p)
 	}
 }
 
@@ -185,7 +185,7 @@ func (p *PE) noteTouch(off int64, visibleAt float64) {
 	p.seg.touch(off, visibleAt)
 	if p.raiseWatches(off, 1, visibleAt) {
 		p.world.bumpEvent()
-		p.wakeLocked()
+		p.world.wakeEvent(p)
 	}
 }
 
@@ -223,7 +223,6 @@ func (p *PE) rangeTs(off, n int64) float64 { return p.seg.rangeTs(off, n) }
 // field").
 func (p *PE) WaitUntil(off, n int64, pred func([]byte) bool) float64 {
 	wt := &watch{off: off, n: n}
-	scratch := make([]byte, n)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.ensureLen(off + n)
@@ -231,7 +230,7 @@ func (p *PE) WaitUntil(off, n int64, pred func([]byte) bool) float64 {
 	defer p.removeWatch(wt)
 	for {
 		p.world.checkFailed()
-		if pred(p.seg.view(off, n, scratch)) {
+		if pred(p.seg.view(off, n, &p.viewBuf)) {
 			ts := p.rangeTs(off, n)
 			if wt.ts > ts {
 				ts = wt.ts

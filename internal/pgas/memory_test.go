@@ -63,3 +63,30 @@ func TestInterleavedGrowthAcrossPEs(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitUntilAllocs pins the wait path's allocations: a satisfied wait
+// costs its watch record and nothing else — the predicate's view aliases the
+// page, and a range crossing a page boundary is gathered into the PE's
+// reused buffer rather than a fresh one per wait.
+func TestWaitUntilAllocs(t *testing.T) {
+	w, err := NewWorldOpts(fabric.Stampede(), 1, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := func(b []byte) bool { return b[0] == 1 }
+	err = w.Run(func(p *PE) {
+		for _, off := range []int64{64, 4096 - 4} { // one page, then straddling two
+			p.StoreLocal(off, []byte{1, 0, 0, 0, 0, 0, 0, 0})
+			p.WaitUntil(off, 8, one)
+			if a := testing.AllocsPerRun(100, func() { p.WaitUntil(off, 8, one) }); a > 1 {
+				t.Errorf("WaitUntil at %d: %v allocs per satisfied wait, want <= 1", off, a)
+			}
+			if a := testing.AllocsPerRun(100, func() { _, _ = p.WaitUntilStat(off, 8, one, nil) }); a > 1 {
+				t.Errorf("WaitUntilStat at %d: %v allocs per satisfied wait, want <= 1", off, a)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

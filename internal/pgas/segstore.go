@@ -252,9 +252,10 @@ func (s *segStore) readAt(off int64, dst []byte) int {
 // view returns a read-only window over [off, off+n). When the range lies
 // within a single page the page memory is aliased directly (zero-copy — this
 // is the WaitUntil spin path, re-evaluated on every wakeup); a range crossing
-// a page boundary is gathered into scratch. Callers must not write through
-// the result and must not retain it past the next store.
-func (s *segStore) view(off, n int64, scratch []byte) []byte {
+// a page boundary is gathered into *scratch, which is grown only then, so a
+// wait on a single-page range allocates nothing. Callers must not write
+// through the result and must not retain it past the next store.
+func (s *segStore) view(off, n int64, scratch *[]byte) []byte {
 	if (off >> segPageShift) == ((off + n - 1) >> segPageShift) {
 		data := &segZeroPage
 		if sp := s.at(off >> segPageShift); sp != nil && sp.data != nil {
@@ -262,6 +263,10 @@ func (s *segStore) view(off, n int64, scratch []byte) []byte {
 		}
 		return data[off&segPageMask : (off&segPageMask)+n]
 	}
-	s.readAt(off, scratch[:n])
-	return scratch[:n]
+	if int64(cap(*scratch)) < n {
+		*scratch = make([]byte, n)
+	}
+	buf := (*scratch)[:n]
+	s.readAt(off, buf)
+	return buf
 }

@@ -42,7 +42,7 @@ func (w *World) WriteV(target int, off, strideBytes int64, elemSize int, src []b
 	}
 	if matched {
 		p.world.bumpEvent()
-		p.wakeLocked()
+		w.wakeEvent(p)
 	}
 	p.mu.Unlock()
 }
@@ -107,7 +107,7 @@ func (w *World) WriteRuns(target int, base int64, offs []int64, runBytes int, sr
 	}
 	if matched {
 		p.world.bumpEvent()
-		p.wakeLocked()
+		w.wakeEvent(p)
 	}
 	p.mu.Unlock()
 }

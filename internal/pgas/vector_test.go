@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -229,19 +228,24 @@ func TestWatchAwareWakeupNeverLost(t *testing.T) {
 	}
 }
 
-// A vectored write must wake a watcher on both engines. The event engine
-// parks a waiter as a task, not on the partition's condition variable, so a
-// write that only broadcasts the condition leaves it asleep. PE 1 waits on a
-// word; once its watch is registered PE 0 fills the word with WriteV or
-// WriteRuns and then waits for PE 1's reply. A lost wakeup ends in the hang
-// watchdog.
+// watching reports whether p holds a registered watch.
+func watching(p *PE) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.watches) > 0
+}
+
+// A vectored write must wake a watcher. A waiter parks as a task, so a write
+// that skips the targeted wake leaves it asleep. PE 1 waits on a word; once
+// its watch is registered PE 0 fills the word with WriteV or WriteRuns and
+// then waits for PE 1's reply. A lost wakeup ends in the hang watchdog.
 func TestVectoredWriteWakesWatcher(t *testing.T) {
 	one := binary.NativeEndian.AppendUint64(nil, 1)
 	writes := map[string]func(w *World){
 		"WriteV":    func(w *World) { w.WriteV(1, 64, 8, 8, one, 7) },
 		"WriteRuns": func(w *World) { w.WriteRuns(1, 64, []int64{0}, 8, one, []float64{7}) },
 	}
-	for _, opts := range []Options{{Engine: EngineGoroutine}, {Engine: EngineEvent, Workers: 2}} {
+	for _, opts := range []Options{{Workers: 1}, {Workers: 2}} {
 		for name, write := range writes {
 			w, err := NewWorldOpts(fabric.Stampede(), 2, opts)
 			if err != nil {
@@ -253,8 +257,8 @@ func TestVectoredWriteWakesWatcher(t *testing.T) {
 					w.WriteUint64(0, 0, 1, ts+1)
 					return
 				}
-				for w.pes[1].waiters.Load() == 0 {
-					runtime.Gosched()
+				for !watching(w.pes[1]) {
+					p.Yield()
 				}
 				write(w)
 				if ts := p.WaitUntil64(0, func(v uint64) bool { return v == 1 }); ts != 8 {
@@ -262,7 +266,7 @@ func TestVectoredWriteWakesWatcher(t *testing.T) {
 				}
 			})
 			if err != nil {
-				t.Errorf("engine %v, %s: %v", opts.Engine, name, err)
+				t.Errorf("workers=%d, %s: %v", opts.Workers, name, err)
 			}
 		}
 	}

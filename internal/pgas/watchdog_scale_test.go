@@ -9,45 +9,36 @@ import (
 )
 
 // Satellite coverage for the 100k-image stall-budget recalibration: the old
-// linear 25µs/PE term gave a 100k event-engine world a multi-second budget —
+// linear 25µs/PE term gave a 100k-PE world a multi-second budget —
 // long enough to mask real deadlocks — while the sharded release actually
 // needs one sequential dispatch pass plus a pool drain. These tests pin the
 // sub-linear form from both sides: a genuinely dead 100k world is poisoned
 // promptly, and a legitimate 100k barrier release is not.
 
-// TestStallBudgetSubLinear pins the budget formula itself: the event engine's
-// per-PE term must stay sub-linear (a 100k single-worker world under a
-// second without race instrumentation), and the goroutine engine keeps its
-// historical linear form.
+// TestStallBudgetSubLinear pins the budget formula itself: the per-PE term
+// must stay sub-linear (a 100k single-worker world under a second without
+// race instrumentation).
 func TestStallBudgetSubLinear(t *testing.T) {
-	ev := &World{n: 100_000, engine: EngineEvent, workers: 1}
+	ev := &World{n: 100_000, workers: 1}
 	budget := ev.stallBudget()
 	cap := 1 * time.Second
 	if raceEnabled {
 		cap *= 8
 	}
 	if budget >= cap {
-		t.Fatalf("100k event-engine stall budget = %v, want < %v (sub-linear per-PE term)", budget, cap)
+		t.Fatalf("100k-PE stall budget = %v, want < %v (sub-linear per-PE term)", budget, cap)
 	}
 	if budget <= stallRealDelay {
-		t.Fatalf("100k event-engine stall budget = %v, must still exceed the %v base", budget, stallRealDelay)
-	}
-	gr := &World{n: 1000, engine: EngineGoroutine}
-	want := stallRealDelay + 1000*25*time.Microsecond
-	if raceEnabled {
-		want *= 8
-	}
-	if got := gr.stallBudget(); got != want {
-		t.Fatalf("goroutine-engine budget changed: %v, want %v", got, want)
+		t.Fatalf("100k-PE stall budget = %v, must still exceed the %v base", budget, stallRealDelay)
 	}
 	// More workers drain the pool faster, so the budget must not grow.
-	wide := &World{n: 100_000, engine: EngineEvent, workers: 64}
+	wide := &World{n: 100_000, workers: 64}
 	if wide.stallBudget() > budget {
 		t.Fatalf("budget grew with workers: %v (64 workers) > %v (1 worker)", wide.stallBudget(), budget)
 	}
 }
 
-// TestWatchdog100kAllParked: a 100k-image event-engine world where every PE
+// TestWatchdog100kAllParked: a 100k-image world where every PE
 // blocks on a flag nobody will ever set must be poisoned by the hang
 // watchdog within the recalibrated budget — the deadlock-masking side of the
 // satellite requirement.
@@ -59,7 +50,7 @@ func TestWatchdog100kAllParked(t *testing.T) {
 		t.Skip("100k images in -short mode")
 	}
 	const n = 100_000
-	w, err := NewWorldOpts(fabric.Titan(), n, Options{Engine: EngineEvent})
+	w, err := NewWorld(fabric.Titan(), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +72,7 @@ func TestWatchdog100kAllParked(t *testing.T) {
 }
 
 // TestBarrier100kReleaseClean: the other side — a legitimate 100k-image
-// event-engine barrier sequence must complete watchdog-clean within the
+// barrier sequence must complete watchdog-clean within the
 // tightened budget (the release's dispatch pass plus pool drain must fit).
 func TestBarrier100kReleaseClean(t *testing.T) {
 	if raceEnabled {
@@ -91,7 +82,7 @@ func TestBarrier100kReleaseClean(t *testing.T) {
 		t.Skip("100k images in -short mode")
 	}
 	const n = 100_000
-	w, err := NewWorldOpts(fabric.Titan(), n, Options{Engine: EngineEvent})
+	w, err := NewWorld(fabric.Titan(), n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,13 +31,12 @@ type World struct {
 	pes     []*PE
 	barrier *barrier
 
-	// Execution engine (see engine.go). sched is the event engine's central
-	// scheduler: the worker-slot dispatch (Options.Workers slots, granted to
-	// parked PEs by their wake events) and the registry of PEs whose wake
-	// condition is a registered watch; wakeBuf (guarded by scratchMu) is its
-	// reusable fan-out scratch.
-	engine    Engine
-	workers   int // resolved event-engine pool size (0 on goroutine engine)
+	// Execution engine (see engine.go). sched is the scheduler: the
+	// worker-slot dispatch (Options.Workers slots, granted to parked PEs by
+	// their wake events) and the registry of PEs whose wake condition is a
+	// registered watch; wakeBuf (guarded by scratchMu) is its reusable
+	// fan-out scratch.
+	workers   int // resolved worker-pool size
 	sched     sched
 	scratchMu sync.Mutex
 	wakeBuf   []*PE
@@ -48,7 +47,9 @@ type World struct {
 	failMu sync.Mutex
 	failed error
 
-	pairsOverride int // 0 = derive from placement
+	// pairsOverride is SetActivePairsPerNode's value (0 = derive from
+	// placement); atomic because every shmem/gasnet/mpi3 op reads it.
+	pairsOverride atomic.Int64
 
 	// PE life-cycle state (see fault.go). states is read with atomic loads on
 	// hot paths; transitions take stateMu. The counters back the hang
@@ -76,8 +77,7 @@ type PE struct {
 	Clock fabric.Clock
 	world *World
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 	// seg holds the partition's bytes and, per 8-byte word, the latest
 	// visibility time of a small write (flags, counters, lock words), so a
 	// WaitUntil that registers after the satisfying write still recovers its
@@ -85,39 +85,33 @@ type PE struct {
 	// on them), keeping the bookkeeping O(1) per flag-sized write.
 	seg     segStore
 	watches map[*watch]struct{}
-	// waiters mirrors len(watches) with an atomic so cross-PE wake fan-outs
-	// (departure, repair writes) can skip partitions nobody sleeps on without
-	// taking their locks. Updated only under mu; read lock-free. The seq-cst
-	// ordering of Go atomics makes the Dekker pattern sound: a departer
-	// stores its state change before loading waiters, a waiter increments
-	// waiters before (re-)checking state, so one of them always sees the
-	// other. (On the event engine the same handshake runs through the
-	// scheduler registry's mutex: a departer stores its state change before
-	// snapshotting the registry, a waiter registers before re-checking
-	// state.)
-	waiters atomic.Int32
+	// viewBuf gathers a watched range that crosses a page boundary for the
+	// wait predicate (segStore.view); reused across waits, guarded by mu.
+	viewBuf []byte
 
-	// Event-engine task state (nil/unused on the goroutine engine): wake is
-	// the slot-grant channel — a send means "a wake event occurred and you
-	// own a worker slot", and the scheduler's state machine allows at most
-	// one outstanding grant, so the buffered(1) send never blocks. The PE's
-	// reusable barrier-waiter record lives in its shard's arena, indexed by
-	// rank (see barrier.go). parked and readyFlag are the scheduler's view
-	// of this task, guarded by sched.dmu: parked means slotless and awaiting
-	// a grant; readyFlag is the sticky wake-arrived-while-running note the
-	// next park consumes, which is what makes a wake racing ahead of the
-	// park lossless.
+	// Task state: wake is the slot-grant channel — a send means "a wake
+	// event occurred (or a yield came round) and you own a worker slot", and
+	// the scheduler's state machine allows at most one outstanding grant, so
+	// the buffered(1) send never blocks. The PE's reusable barrier-waiter
+	// record lives in its shard's arena, indexed by rank (see barrier.go).
+	// parked and readyFlag are the scheduler's view of this task, guarded by
+	// sched.dmu: parked means slotless and awaiting a grant; readyFlag is the
+	// sticky wake-arrived-while-running note the next park consumes, which
+	// is what makes a wake racing ahead of the park lossless.
 	wake      chan struct{}
 	parked    bool
 	readyFlag bool
 }
 
-// addWatch registers a watch (and its waiter count). Must hold p.mu. On the
-// event engine the 0→1 transition also enters the PE into the scheduler's
-// watcher registry, which is what fault fan-outs walk instead of the world.
+// addWatch registers a watch. Must hold p.mu. The first watch also enters
+// the PE into the scheduler's watcher registry, which is what fault fan-outs
+// walk instead of the world. The registry's mutex makes the fan-out sound: a
+// departer stores its state change before snapshotting the registry, a
+// waiter registers before re-checking state, so one of them always sees the
+// other.
 func (p *PE) addWatch(wt *watch) {
 	p.watches[wt] = struct{}{}
-	if p.waiters.Add(1) == 1 && p.wake != nil {
+	if len(p.watches) == 1 {
 		p.world.sched.noteWatcher(p)
 	}
 }
@@ -125,7 +119,7 @@ func (p *PE) addWatch(wt *watch) {
 // removeWatch deregisters a watch. Must hold p.mu.
 func (p *PE) removeWatch(wt *watch) {
 	delete(p.watches, wt)
-	if p.waiters.Add(-1) == 0 && p.wake != nil {
+	if len(p.watches) == 0 {
 		p.world.sched.dropWatcher(p)
 	}
 }
@@ -138,13 +132,13 @@ type watch struct {
 	ts     float64
 }
 
-// NewWorld creates a world of n PEs on the given machine model, on the
-// default (goroutine-per-PE) engine.
+// NewWorld creates a world of n PEs on the given machine model with default
+// options (GOMAXPROCS workers, auto-sized barrier shards).
 func NewWorld(machine *fabric.Machine, n int) (*World, error) {
 	return NewWorldOpts(machine, n, Options{})
 }
 
-// NewWorldOpts creates a world of n PEs with explicit engine options.
+// NewWorldOpts creates a world of n PEs with explicit options.
 func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("pgas: need at least 1 PE, got %d", n)
@@ -158,35 +152,25 @@ func NewWorldOpts(machine *fabric.Machine, n int, opts Options) (*World, error) 
 		pes:     make([]*PE, n),
 		shared:  map[string]interface{}{},
 		states:  make([]int32, n),
-		engine:  opts.Engine,
+		workers: defaultWorkers(opts.Workers),
 	}
-	w.barrier = newBarrier(w, n, opts.BarrierShards, opts.Engine == EngineEvent)
+	w.barrier = newBarrier(w, n, opts.BarrierShards)
 	w.aliveN.Store(int32(n))
-	if opts.Engine == EngineEvent {
-		w.workers = defaultWorkers(opts.Workers)
-		w.sched.free = w.workers
-		w.sched.watchers = make(map[*PE]struct{})
-		// Pre-size the ready queue to world capacity: a full-world barrier
-		// release can make every PE ready at once, and regrowing the queue
-		// mid-fanout under the dispatch lock is exactly the stall the batch
-		// wake exists to avoid. grantLocked resets to ready[:0] on drain, so
-		// the capacity persists across generations.
-		w.sched.ready = make([]*PE, 0, n)
-	}
+	w.sched.free = w.workers
+	w.sched.watchers = make(map[*PE]struct{})
+	// Pre-size the ready queue to world capacity: a full-world barrier
+	// release can make every PE ready at once, and regrowing the queue
+	// mid-fanout under the dispatch lock is exactly the stall the batch wake
+	// exists to avoid. The queue compacts in place (pushLocked), so the
+	// capacity persists across generations.
+	w.sched.ready = make([]*PE, 0, n)
 	for i := range w.pes {
-		p := &PE{ID: i, world: w, watches: map[*watch]struct{}{}}
-		p.cond = sync.NewCond(&p.mu)
-		if opts.Engine == EngineEvent {
-			p.wake = make(chan struct{}, 1)
-			w.barrier.arena[i].p = p
-		}
+		p := &PE{ID: i, world: w, watches: map[*watch]struct{}{}, wake: make(chan struct{}, 1)}
+		w.barrier.arena[i].p = p
 		w.pes[i] = p
 	}
 	return w, nil
 }
-
-// Engine reports which execution engine the world runs on.
-func (w *World) Engine() Engine { return w.engine }
 
 // Run executes body once per PE, each on its own goroutine, and blocks until
 // every PE returns. A panic in any PE poisons the world (waking all blocked
@@ -199,16 +183,13 @@ func Run(machine *fabric.Machine, n int, body func(*PE)) error {
 	return w.Run(body)
 }
 
-// Run executes body on every PE of an already-constructed world. On the
-// goroutine engine every PE body runs concurrently; on the event engine the
-// bodies still each get a goroutine (the cheap part — a resumable stack) but
-// only Workers of them hold a run slot at a time, and a blocked PE parks
-// without its slot, so the pool never idles on blocked tasks and never runs
-// more than Workers bodies at once.
+// Run executes body on every PE of an already-constructed world. Each body
+// gets a goroutine (the cheap part — a resumable stack) but only Workers of
+// them hold a run slot at a time, and a blocked PE parks without its slot,
+// so the pool never idles on blocked tasks and never runs more than Workers
+// bodies at once.
 func (w *World) Run(body func(*PE)) error {
-	if w.engine == EngineEvent {
-		go w.eventWatchdog()
-	}
+	go w.watchdog()
 	var wg sync.WaitGroup
 	wg.Add(w.n)
 	for _, p := range w.pes {
@@ -248,20 +229,15 @@ func (w *World) PE(id int) *PE { return w.pes[id] }
 // PEs per node are concurrently driving the NIC. The microbenchmarks use this
 // to model the paper's "1 pair" vs "16 pairs" configurations. Zero restores
 // the default (all co-located PEs are assumed active — the SPMD common case).
-func (w *World) SetActivePairsPerNode(k int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.pairsOverride = k
-}
+func (w *World) SetActivePairsPerNode(k int) { w.pairsOverride.Store(int64(k)) }
 
 // ActivePairs returns the number of communicating PEs assumed to share the
-// NIC of the given PE's node, for the contention model.
+// NIC of the given PE's node, for the contention model. It takes no lock:
+// every transport op asks, and the answer depends only on the override and
+// the immutable placement.
 func (w *World) ActivePairs(pe int) int {
-	w.mu.Lock()
-	ov := w.pairsOverride
-	w.mu.Unlock()
-	if ov > 0 {
-		return ov
+	if ov := w.pairsOverride.Load(); ov > 0 {
+		return int(ov)
 	}
 	// Block placement: the PEs on pe's node are a contiguous rank range.
 	per := w.machine.CoresPerNode
@@ -304,7 +280,7 @@ func (w *World) poison(err error) {
 	// Wake everything that might be blocked so the process can unwind.
 	w.barrier.poison()
 	for _, p := range w.pes {
-		p.wakeFanout()
+		w.wakeEvent(p)
 	}
 }
 

@@ -5,21 +5,19 @@ import (
 	"cafshmem/internal/dht"
 	"cafshmem/internal/fabric"
 	"cafshmem/internal/himeno"
-	"cafshmem/internal/pgas"
 )
 
 // EngineOpts bundles the host-side execution-engine tuning the bench CLIs
-// expose (-engine, -workers, -barriershards). The zero value is the
-// goroutine engine with defaults. None of it can change a virtual-time
-// result — it only changes how the simulation spends host time.
+// expose (-workers, -barriershards). The zero value is the default pool and
+// shard layout. None of it can change a virtual-time result — it only
+// changes how the simulation spends host time.
 type EngineOpts struct {
-	Engine        pgas.Engine
 	Workers       int
 	BarrierShards int
 }
 
 func (e EngineOpts) apply(o *caf.Options) {
-	o.Engine, o.Workers, o.BarrierShards = e.Engine, e.Workers, e.BarrierShards
+	o.Workers, o.BarrierShards = e.Workers, e.BarrierShards
 }
 
 // TransportOptions returns the canonical Stampede configuration for one CAF
@@ -65,9 +63,9 @@ func Fig9(maxImages, bucketsPerImage, updates int) Figure {
 	return Fig9Engine(maxImages, bucketsPerImage, updates, EngineOpts{})
 }
 
-// Fig9Engine is Fig9 on an explicit pgas execution engine — the virtual-time
-// results are engine-independent; the engine choice only changes how the
-// simulation spends host time (bench CLIs expose it as -engine/-workers).
+// Fig9Engine is Fig9 with explicit execution-engine tuning — the virtual-time
+// results are independent of it; it only changes how the simulation spends
+// host time (bench CLIs expose it as -workers/-barriershards).
 func Fig9Engine(maxImages, bucketsPerImage, updates int, eng EngineOpts) Figure {
 	ti := fabric.Titan()
 	counts := []int{}
@@ -107,7 +105,7 @@ func Fig10(maxImages int, prm himeno.Params) Figure {
 	return Fig10Engine(maxImages, prm, EngineOpts{})
 }
 
-// Fig10Engine is Fig10 on an explicit pgas execution engine (see Fig9Engine).
+// Fig10Engine is Fig10 with explicit execution-engine tuning (see Fig9Engine).
 func Fig10Engine(maxImages int, prm himeno.Params, eng EngineOpts) Figure {
 	st := fabric.Stampede()
 	counts := []int{}

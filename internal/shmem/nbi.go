@@ -293,7 +293,7 @@ func (pe *PE) NBIOutstanding() int { return pe.nbi.Outstanding() }
 // without completing anything. Horizons are computed at issue time from the
 // NIC pipe recurrence and never awaited, which is why no execution engine
 // parks a PE on Quiet; the engine differential tests use this to compare
-// horizons across engines without perturbing them.
+// horizons across worker layouts without perturbing them.
 func (pe *PE) NBIHorizonNs() float64 { return pe.nbi.Horizon() }
 
 // QuietStat is Quiet with fault status: when any PE with in-flight

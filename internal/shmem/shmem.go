@@ -108,13 +108,10 @@ type Config struct {
 	// operation boundaries. Nil disables fault injection entirely — the nil
 	// check is the only cost, and no virtual-time behaviour changes.
 	FaultPlan *fabric.FaultPlan
-	// Engine selects the pgas execution engine (goroutine-per-PE by
-	// default, or the bounded-worker-pool event engine); Workers bounds the
-	// event engine's pool (0 = GOMAXPROCS). Virtual-time results are
-	// engine-independent by construction. BarrierShards overrides the world
-	// barrier's combining-tree leaf-shard count (0 = auto, one shard per
-	// 256 PEs) — equally invisible to modelled results.
-	Engine        pgas.Engine
+	// Workers bounds the pgas worker pool (0 = GOMAXPROCS). Virtual-time
+	// results are independent of it by construction. BarrierShards
+	// overrides the world barrier's combining-tree leaf-shard count (0 =
+	// auto, one shard per 256 PEs) — equally invisible to modelled results.
 	Workers       int
 	BarrierShards int
 }
@@ -146,7 +143,7 @@ func NewWorld(cfg Config, n int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	pw, err := pgas.NewWorldOpts(cfg.Machine, n, pgas.Options{Engine: cfg.Engine, Workers: cfg.Workers, BarrierShards: cfg.BarrierShards})
+	pw, err := pgas.NewWorldOpts(cfg.Machine, n, pgas.Options{Workers: cfg.Workers, BarrierShards: cfg.BarrierShards})
 	if err != nil {
 		return nil, err
 	}
